@@ -10,6 +10,13 @@ weight-based protocol consumes.
 Fading is either deterministic (coefficient 1, the reproducible default)
 or rayleigh-power: an exponential with the given mean applied to the
 received power. Fresh coefficients are drawn per slot and ordered pair.
+
+Capture (Gupta & Kumar, IEEE Trans. IT 2000): with beta >= 1 and
+sigma2 > 0 a decodable signal S has S (1 + beta) >= beta (sigma2 +
+total), so S > total / 2. Only a listener's strongest transmitter can
+hold that (tied ones hold at most half each), so it is the only one
+simulate_hello tests. In floating point a second one could pass only if
+beta were within rounding of 1 and sigma2 below that of the total.
 """
 
 from __future__ import annotations
@@ -126,35 +133,52 @@ def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
     return params.p_t * d ** -params.eta
 
 
-def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWeightTable:
-    """Run the Hello protocol for params.slots slots.
-
-    Per slot the draw order is: transmit indicators for all nodes, then
-    (for rayleigh-power fading) one coefficient per transmitter-listener
-    pair. Deterministic under the seed.
-    """
+def _slots(dep: Deployment, params: ChannelParams, seed: int):
+    """Yield (tx, rx, sig, cols, total) per Hello slot: transmitter and
+    listener ids, and faded powers sig, one row per transmitter, in which
+    listener rx[m] is column cols[m] and hears total[m] in all (sig is None
+    if nobody or everybody transmits). Per slot the draw order is: transmit
+    indicators, then rayleigh-power coefficients per (tx, rx) pair."""
     if params.alpha == 0:
-        raise ValueError("alpha = 0 broadcasts nothing; link weights are undefined")
+        raise ValueError("alpha = 0 broadcasts nothing")
     n = dep.n
     gain = _gain_matrix(dep, params)
     rng = np.random.default_rng(seed)
-    c = np.zeros((n, n), dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    one_plus_beta = 1.0 + params.beta
-
     for _ in range(params.slots):
         transmitting = rng.random(n) < params.alpha
         tx = np.flatnonzero(transmitting)
-        b[tx] += 1
-        if tx.size == 0 or tx.size == n:
-            continue
         rx = np.flatnonzero(~transmitting)
-        sig = gain[np.ix_(tx, rx)]
+        if tx.size == 0 or rx.size == 0:
+            yield tx, rx, None, None, None
+            continue
+        # Keep sig C-ordered (take, not sig[:, rx]): axis-0 sums add in tx order.
+        sig, cols = gain[tx], rx
         if params.fading == "rayleigh-power":
-            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
-        total = sig.sum(axis=0)
-        ok = sig * one_plus_beta >= params.beta * (params.sigma2 + total[None, :])
-        c[np.ix_(tx, rx)] += ok
+            sig = sig.take(rx, axis=1)
+            sig *= rng.exponential(params.fading_mean, size=sig.shape)
+            cols = np.arange(rx.size)
+        yield tx, rx, sig, cols, sig.sum(axis=0)[cols]
+
+
+def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWeightTable:
+    """Run the Hello protocol for params.slots slots; deterministic under
+    the seed. With beta >= 1 only each listener's strongest transmitter
+    is tested (capture, see the module docstring), else every pair."""
+    n = dep.n
+    c = np.zeros((n, n), dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    counts = c.reshape(-1)  # a view; decoded (tx, rx) pairs are unique per slot
+    for tx, rx, sig, cols, total in _slots(dep, params, seed):
+        b[tx] += 1
+        if sig is None:
+            continue
+        need = params.beta * (params.sigma2 + total)
+        if params.beta >= 1:
+            j = np.flatnonzero(sig.max(axis=0)[cols] * (1.0 + params.beta) >= need)
+            i = sig[:, cols[j]].argmax(axis=0)
+        else:
+            i, j = np.nonzero(sig[:, cols] * (1.0 + params.beta) >= need)
+        counts[tx[i] * n + rx[j]] += 1
     return LinkWeightTable.from_counts(c, b)
 
 
@@ -226,50 +250,26 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
     """Total received power per listening node, histogrammed by annulus.
 
     A sample is taken for each listening node in each slot with at least
-    one transmitter. Same slot structure and draw order as
-    simulate_hello.
+    one transmitter, from the same slots as simulate_hello.
     """
     if annuli < 1:
         raise ValueError(f"annuli must be >= 1, got {annuli}")
-    if params.alpha == 0:
-        raise ValueError("alpha = 0 broadcasts nothing; no power is received")
-    n = dep.n
     ring = square_annulus_index(dep, annuli)
-    gain = _gain_matrix(dep, params)
-    rng = np.random.default_rng(seed)
     samples = [[] for _ in range(annuli)]
-
-    for _ in range(params.slots):
-        transmitting = rng.random(n) < params.alpha
-        tx = np.flatnonzero(transmitting)
-        if tx.size == 0 or tx.size == n:
-            continue
-        rx = np.flatnonzero(~transmitting)
-        sig = gain[np.ix_(tx, rx)]
-        if params.fading == "rayleigh-power":
-            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
-        total = sig.sum(axis=0)
-        rx_ring = ring[rx]
-        for a in range(annuli):
-            vals = total[rx_ring == a]
-            if vals.size:
-                samples[a].append(vals)
-
+    for _, rx, sig, _, total in _slots(dep, params, seed):
+        if sig is not None:
+            rx_ring = ring[rx]
+            for a, s in enumerate(samples):
+                s.append(total[rx_ring == a])
     pooled = [np.concatenate(s) if s else np.empty(0) for s in samples]
     top = max((float(p.max()) for p in pooled if p.size), default=0.0)
     if top <= 0:
         raise ValueError("no power was received in any slot")
     edges = np.linspace(0.0, top, 201)
-    masses, counts = [], []
-    for p in pooled:
-        if p.size:
-            hist, _ = np.histogram(p, bins=edges)
-            masses.append(hist / p.size)
-        else:
-            masses.append(np.zeros(200))
-        counts.append(int(p.size))
-    ring_width = (dep.region.width / 2) / annuli
-    return PowerHistograms(bin_edges=edges, masses=masses, counts=counts, ring_width=ring_width)
+    masses = [np.histogram(p, bins=edges)[0] / p.size if p.size else np.zeros(200)
+              for p in pooled]
+    return PowerHistograms(bin_edges=edges, masses=masses, counts=[p.size for p in pooled],
+                           ring_width=(dep.region.width / 2) / annuli)
 
 
 def total_variation(p, q) -> float:

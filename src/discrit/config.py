@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -18,9 +19,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import ChannelParams
+from .channel import DEFAULT_CHANNEL, ChannelParams
 from .geometry import Region
-from .selforg import SelfOrgParams
+from .selforg import DEFAULT_SELFORG, SelfOrgParams
 
 OUTPUT_DIR_ENV = "DISCRIT_OUTPUT_DIR"
 
@@ -91,7 +92,7 @@ CONFIG_SCHEMA = {
                 "sigma2": {"type": "number", "exclusiveMinimum": 0},
                 "eta": {"type": "number", "exclusiveMinimum": 0},
                 "w": {"type": "number", "exclusiveMinimum": 0},
-                "q": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "q": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "slots": {"type": "integer", "minimum": 1},
                 "a": {"type": ["number", "null"]},
                 "h_max": {"type": "integer", "minimum": 1},
@@ -133,32 +134,13 @@ def region_from_config(doc: dict) -> Region:
 
 
 def channel_from_config(doc: dict) -> ChannelParams:
-    from .channel import DEFAULT_CHANNEL
-
-    block = dict(doc.get("channel", {}))
-    merged = {
-        "p_t": DEFAULT_CHANNEL.p_t, "eta": DEFAULT_CHANNEL.eta,
-        "sigma2": DEFAULT_CHANNEL.sigma2, "beta": DEFAULT_CHANNEL.beta,
-        "alpha": DEFAULT_CHANNEL.alpha, "fading": DEFAULT_CHANNEL.fading,
-        "fading_mean": DEFAULT_CHANNEL.fading_mean, "slots": DEFAULT_CHANNEL.slots,
-    }
-    merged.update(block)
-    return ChannelParams(**merged)
+    return replace(DEFAULT_CHANNEL, **doc.get("channel", {}))
 
 
 def selforg_from_config(doc: dict) -> tuple[SelfOrgParams, int]:
-    from .selforg import DEFAULT_SELFORG
-
     block = dict(doc.get("selforg", {}))
     h_max = block.pop("h_max", 8)
-    merged = {
-        "alpha0": DEFAULT_SELFORG.alpha0, "p_t": DEFAULT_SELFORG.p_t,
-        "sigma2": DEFAULT_SELFORG.sigma2, "eta": DEFAULT_SELFORG.eta,
-        "w": DEFAULT_SELFORG.w, "q": DEFAULT_SELFORG.q,
-        "slots": DEFAULT_SELFORG.slots, "a": DEFAULT_SELFORG.a,
-    }
-    merged.update(block)
-    return SelfOrgParams(**merged), h_max
+    return replace(DEFAULT_SELFORG, **block), h_max
 
 
 def config_hash(doc: dict) -> str:

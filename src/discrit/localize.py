@@ -248,6 +248,7 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
     rows = {b: hops.row(b) for b in beacons.ids}
     pairs = beacons.pairs()
     records = []
+    solved = {}  # sorted ratio items -> ((x, y), converged); many nodes share a vector
     for s in range(dep.n):
         if s in beacons.ids:
             continue
@@ -256,12 +257,13 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
             hi = rows[beacons.ids[i]][s]
             hj = rows[beacons.ids[j]][s]
             ratios[(i, j)] = hi / hj
-        try:
-            x, y, _ = estimate_position(beacons, ratios)
-            converged = True
-        except PositionSolverError as exc:
-            x, y = exc.best
-            converged = False
+        key = tuple(sorted(ratios.items()))
+        if key not in solved:
+            try:
+                solved[key] = estimate_position(beacons, ratios)[:2], True
+            except PositionSolverError as exc:
+                solved[key] = exc.best, False
+        (x, y), converged = solved[key]
         xt, yt = dep.positions[s]
         records.append(NodeEstimate(
             node=s, x_true=float(xt), y_true=float(yt), x_est=x, y_est=y,

@@ -6,6 +6,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from discrit.channel import (
+    LinkWeightTable, PowerHistograms, _gain_matrix, square_annulus_index,
+)
 from discrit.geometry import Deployment, Region, generate_deployment
 
 
@@ -41,6 +44,66 @@ def enumerate_hello_p(pos, params):
                 total += prob * ok
             p[i, j] = (1.0 - params.alpha) * total
     return p
+
+
+def reference_hello(dep, params, seed):
+    """The Hello slot loop that ``simulate_hello`` replaced: every
+    (transmitter, listener) pair is gathered and tested each slot."""
+    n = dep.n
+    gain = _gain_matrix(dep, params)
+    rng = np.random.default_rng(seed)
+    c = np.zeros((n, n), dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    one_plus_beta = 1.0 + params.beta
+    for _ in range(params.slots):
+        transmitting = rng.random(n) < params.alpha
+        tx = np.flatnonzero(transmitting)
+        b[tx] += 1
+        if tx.size == 0 or tx.size == n:
+            continue
+        rx = np.flatnonzero(~transmitting)
+        sig = gain[np.ix_(tx, rx)]
+        if params.fading == "rayleigh-power":
+            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
+        total = sig.sum(axis=0)
+        ok = sig * one_plus_beta >= params.beta * (params.sigma2 + total[None, :])
+        c[np.ix_(tx, rx)] += ok
+    return LinkWeightTable.from_counts(c, b)
+
+
+def reference_power_histogram(dep, params, seed, annuli):
+    """``received_power_histogram`` as it was, with its own copy of the
+    slot loop."""
+    n = dep.n
+    ring = square_annulus_index(dep, annuli)
+    gain = _gain_matrix(dep, params)
+    rng = np.random.default_rng(seed)
+    samples = [[] for _ in range(annuli)]
+    for _ in range(params.slots):
+        transmitting = rng.random(n) < params.alpha
+        tx = np.flatnonzero(transmitting)
+        if tx.size == 0 or tx.size == n:
+            continue
+        rx = np.flatnonzero(~transmitting)
+        sig = gain[np.ix_(tx, rx)]
+        if params.fading == "rayleigh-power":
+            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
+        total = sig.sum(axis=0)
+        rx_ring = ring[rx]
+        for a in range(annuli):
+            vals = total[rx_ring == a]
+            if vals.size:
+                samples[a].append(vals)
+    pooled = [np.concatenate(s) if s else np.empty(0) for s in samples]
+    top = max((float(p.max()) for p in pooled if p.size), default=0.0)
+    if top <= 0:
+        raise ValueError("no power was received in any slot")
+    edges = np.linspace(0.0, top, 201)
+    masses = [np.histogram(p, bins=edges)[0] / p.size if p.size else np.zeros(200)
+              for p in pooled]
+    return PowerHistograms(bin_edges=edges, masses=masses,
+                           counts=[int(p.size) for p in pooled],
+                           ring_width=(dep.region.width / 2) / annuli)
 
 
 def kdtree_degree1(pos, box=None):

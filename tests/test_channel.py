@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import enumerate_hello_p, line_deployment
+from conftest import (
+    enumerate_hello_p, line_deployment, reference_hello, reference_power_histogram,
+)
 from discrit.channel import (
     ChannelParams, EmpiricalCDF, LinkWeightTable, homogeneity_check,
     load_link_weights, predict_p, received_power_histogram, save_link_weights,
@@ -12,6 +15,60 @@ from discrit.channel import (
 from discrit.geometry import Deployment, Region, generate_deployment
 
 PARAMS = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=2000)
+RAYLEIGH = {"fading": "rayleigh-power", "fading_mean": 1.0}
+
+
+# The Hello kernel against the slot loop it replaced. The criterion 7
+# and 8 seeds at the acceptance parameters; a 20 x 20 grid, whose equal
+# spacing gives exact gain ties at a listener; beta below and above 1
+# under both fading kinds (beta < 1 lets one listener decode several
+# transmitters); every node transmitting; and a sparse alpha that leaves
+# most slots without a transmitter.
+SMALL = replace(PARAMS, slots=300)
+ACCEPTANCE_CASES = [
+    pytest.param("uniform-iid", 1000, 1000.0, replace(PARAMS, slots=5000), seed,
+                 id=f"acceptance-seed{seed}")
+    for seed in range(10)
+]
+SMALL_CASES = [
+    pytest.param("grid", 400, 1000.0, SMALL, 1, id="grid-ties"),
+    pytest.param("grid", 400, 1000.0, replace(SMALL, **RAYLEIGH), 2, id="grid-rayleigh"),
+] + [
+    pytest.param("uniform-iid", 300, 500.0, replace(SMALL, beta=beta, **fading), 3,
+                 id=f"beta{beta}-{name}")
+    for beta in (0.2, 0.5, 1.0, 4.0)
+    for name, fading in (("deterministic", {}), ("rayleigh", RAYLEIGH))
+] + [
+    pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=1.0, slots=50), 4, id="alpha-one"),
+    pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=0.02, slots=2000), 5,
+                 id="idle-slots"),
+]
+
+
+@pytest.mark.parametrize("kind, n, side, params, seed", ACCEPTANCE_CASES + SMALL_CASES)
+def test_hello_kernel_matches_reference(kind, n, side, params, seed):
+    dep = generate_deployment(kind, n, Region(side, side), seed)
+    table = simulate_hello(dep, params, seed)
+    ref = reference_hello(dep, params, seed)
+    assert np.array_equal(table.c, ref.c)
+    assert np.array_equal(table.b, ref.b)
+
+
+# One acceptance seed only: the reference loop takes about 10 s a seed at n=1000.
+@pytest.mark.parametrize("kind, n, side, params, seed", ACCEPTANCE_CASES[:1] + SMALL_CASES)
+def test_power_histogram_matches_reference(kind, n, side, params, seed):
+    dep = generate_deployment(kind, n, Region(side, side), seed)
+    if params.alpha == 1:
+        for histogram in (received_power_histogram, reference_power_histogram):
+            with pytest.raises(ValueError, match="no power"):
+                histogram(dep, params, seed, annuli=5)
+        return
+    hist = received_power_histogram(dep, params, seed, annuli=5)
+    ref = reference_power_histogram(dep, params, seed, annuli=5)
+    assert np.array_equal(hist.bin_edges, ref.bin_edges)
+    assert hist.counts == ref.counts
+    for masses, ref_masses in zip(hist.masses, ref.masses, strict=True):
+        assert np.array_equal(masses, ref_masses)
 
 
 def test_params_validation():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from discrit.cli import compare_graphs, main, run_pipeline
-from discrit.config import ConfigError, config_hash, validate_config
+from discrit.config import ConfigError, config_hash, selforg_from_config, validate_config
 from discrit.graphs import EdgeGraph, save_graph
 
 
@@ -72,6 +72,16 @@ def test_invalid_config_rejected(tmp_path):
         validate_config({"output_dir": "x", "seeds": [], "deployment": {"kind": "grid", "n": 4}})
     with pytest.raises(ConfigError):
         validate_config(minimal_config(tmp_path, unknown_block={}))
+
+
+def test_selforg_q_bound_matches_params(tmp_path):
+    # SelfOrgParams accepts q = 1 (every slot collides), so the schema does too.
+    params, h_max = selforg_from_config(validate_config(minimal_config(tmp_path, selforg={"q": 1})))
+    assert params.q == 1 and h_max == 8
+    with pytest.raises(ConfigError, match="selforg/q"):
+        validate_config(minimal_config(tmp_path, selforg={"q": 1.01}))
+    with pytest.raises(ValueError, match="q must be"):  # the params still validate
+        selforg_from_config({"selforg": {"q": 0}})
 
 
 def test_cli_main_deploy_and_flags(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from discrit.geometry import Region, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, hop_distances
+from discrit import localize
 from discrit.localize import (
-    BeaconSet, apollonius_curve, corner_beacons, error_pattern,
+    BeaconSet, PositionSolverError, apollonius_curve, corner_beacons, error_pattern,
     estimate_position, hop_ratio, save_error_pattern_csv,
 )
 
@@ -143,6 +144,39 @@ def test_error_pattern_structure(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node,x_true,y_true,x_est,y_est,err_m"
     assert len(lines) == 1 + len(pattern.records)
+
+
+def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
+    # One iteration stalls almost every solve. Each distinct hop-ratio
+    # vector is solved once, and every node sharing a stalled vector still
+    # gets its best iterate and converged=False, as a solve per node would.
+    dep = generate_deployment("uniform-iid", 250, Region(1000, 1000), 6)
+    _, cgg = critical_radius(dep)
+    beacons = corner_beacons(dep)
+    monkeypatch.setattr(localize, "MAX_SOLVER_ITERATIONS", 1)
+    solves = []
+
+    def counted(b, ratios):
+        solves.append(tuple(sorted(ratios.items())))
+        return estimate_position(b, ratios)
+
+    monkeypatch.setattr(localize, "estimate_position", counted)
+    pattern = error_pattern(dep, beacons, cgg)
+    assert len(set(solves)) == len(solves) < len(pattern.records)
+
+    hops = hop_distances(cgg, beacons.ids)
+    shared_stalls = {}
+    for r in pattern.records:
+        ratios = {(i, j): hop_ratio(hops, r.node, beacons.ids[i], beacons.ids[j])
+                  for i, j in beacons.pairs()}
+        try:
+            expected = estimate_position(beacons, ratios)[:2], True
+        except PositionSolverError as exc:
+            expected = exc.best, False
+            key = tuple(sorted(ratios.items()))
+            shared_stalls[key] = shared_stalls.get(key, 0) + 1
+        assert ((r.x_est, r.y_est), r.converged) == expected
+    assert max(shared_stalls.values()) >= 2
 
 
 def test_error_pattern_needs_connected_graph():
