@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .geometry import Deployment, distance_matrix
 
@@ -59,14 +59,6 @@ class EdgeGraph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return [sorted(a) for a in adj]
-
-    @cached_property
     def _csr(self) -> csr_matrix:
         if not self.edges:
             return csr_matrix((self.n, self.n))
@@ -76,12 +68,16 @@ class EdgeGraph:
         data = np.ones(rows.size, dtype=np.int8)
         return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
+    @cached_property
+    def _hops(self) -> np.ndarray:
+        dist = shortest_path(self._csr, method="D", directed=False, unweighted=True)
+        dist[np.isinf(dist)] = -1
+        hops = dist.astype(np.int64)
+        hops.setflags(write=False)
+        return hops
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self._csr.indices, minlength=self.n)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -136,80 +132,49 @@ class HopTable:
         return UNREACHABLE if h < 0 else int(h)
 
 
+def _gg(d: np.ndarray, r: float) -> EdgeGraph:
+    """Geometric graph of radius r (closed ball) over distance matrix d."""
+    ii, jj = np.nonzero(np.triu(d <= r, 1))
+    return EdgeGraph(len(d), frozenset(zip(ii.tolist(), jj.tolist())), radius=float(r))
+
+
 def build_gg(dep: Deployment, r: float) -> EdgeGraph:
     """Geometric graph of radius r (closed ball)."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    d = distance_matrix(dep)
-    iu = np.triu_indices(dep.n, 1)
-    keep = d[iu] <= r
-    edges = frozenset(zip(iu[0][keep].tolist(), iu[1][keep].tolist()))
-    return EdgeGraph(dep.n, edges, radius=float(r))
-
-
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.components = n
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.components -= 1
-        return True
+    return _gg(distance_matrix(dep), r)
 
 
 def is_connected(g: EdgeGraph) -> bool:
-    dsu = _DisjointSet(g.n)
-    for i, j in g.edges:
-        dsu.union(i, j)
-    return dsu.components == 1
+    return connected_components(g._csr, directed=False, return_labels=False) == 1
 
 
 def component_labels(g: EdgeGraph) -> np.ndarray:
-    """Connected-component label per node (labels are root ids)."""
-    dsu = _DisjointSet(g.n)
-    for i, j in g.edges:
-        dsu.union(i, j)
-    return np.array([dsu.find(i) for i in range(g.n)], dtype=np.int64)
+    """Connected-component label per node, numbered 0..k-1 in order of
+    each component's lowest node id."""
+    return connected_components(g._csr, directed=False)[1].astype(np.int64)
 
 
 def critical_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     """Smallest pairwise distance whose geometric graph is connected.
 
-    Inserts edges in ascending distance order into a union-find structure
-    until one component remains; the radius is the last inserted length
-    and the returned graph is the full geometric graph at that radius.
+    That is the longest edge of a minimum spanning tree, grown here by
+    dense Prim's algorithm: ``near`` holds each outside node's distance
+    to the tree, and nodes already in it are kept at infinity. The
+    returned graph is the full geometric graph at that radius, cut from
+    the same matrix, so exact ties keep every edge of length r.
     """
-    n = dep.n
     d = distance_matrix(dep)
-    iu = np.triu_indices(n, 1)
-    dvec = d[iu]
-    order = np.argsort(dvec, kind="stable")
-    ii, jj = iu[0][order], iu[1][order]
-    dsu = _DisjointSet(n)
-    r_crit = None
-    for k in range(order.size):
-        dsu.union(int(ii[k]), int(jj[k]))
-        if dsu.components == 1:
-            r_crit = float(dvec[order[k]])
-            break
-    assert r_crit is not None, "complete graph is always connected"
-    return r_crit, build_gg(dep, r_crit)
+    near = d[0].copy()
+    joined = np.zeros(dep.n, dtype=bool)
+    r_crit, k = 0.0, 0
+    for _ in range(dep.n - 1):
+        joined[k] = True
+        np.minimum(near, d[k], out=near)
+        near[joined] = np.inf
+        k = int(np.argmin(near))
+        r_crit = max(r_crit, float(near[k]))
+    return r_crit, _gg(d, r_crit)
 
 
 def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
@@ -220,7 +185,7 @@ def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     d = distance_matrix(dep)
     np.fill_diagonal(d, np.inf)
     r1 = float(d.min(axis=1).max())
-    return r1, build_gg(dep, r1)
+    return r1, _gg(d, r1)
 
 
 def hop_distances(g: EdgeGraph, sources) -> HopTable:
@@ -231,10 +196,10 @@ def hop_distances(g: EdgeGraph, sources) -> HopTable:
 def hop_matrix(g: EdgeGraph) -> np.ndarray:
     """All-pairs hop counts as an (n, n) int array; -1 = unreachable.
 
-    Bulk variant of HopTable for vectorised consumers.
+    Bulk variant of HopTable for vectorised consumers. The matrix is
+    computed once per graph and shared, so it is read-only.
     """
-    dist = shortest_path(g._csr, method="D", directed=False, unweighted=True)
-    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
+    return g._hops
 
 
 def graph_diameter(g: EdgeGraph):

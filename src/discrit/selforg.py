@@ -128,7 +128,7 @@ def _topology_adjacency(hops: np.ndarray, h: int):
     active = np.flatnonzero(deg > 0)
     if active.size == 0:
         return None
-    flat = np.concatenate([np.flatnonzero(match[i]) for i in active])
+    flat = np.nonzero(match)[1]
     start = np.zeros(active.size, dtype=np.int64)
     np.cumsum(deg[active][:-1], out=start[1:])
     return active, deg[active], flat, start

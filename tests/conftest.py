@@ -9,7 +9,8 @@ from scipy.spatial import cKDTree
 from discrit.channel import (
     LinkWeightTable, PowerHistograms, _gain_matrix, square_annulus_index,
 )
-from discrit.geometry import Deployment, Region, generate_deployment
+from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment
+from discrit.graphs import EdgeGraph
 
 
 def line_deployment(xs, side=1000.0, y=None):
@@ -104,6 +105,65 @@ def reference_power_histogram(dep, params, seed, annuli):
     return PowerHistograms(bin_edges=edges, masses=masses,
                            counts=[int(p.size) for p in pooled],
                            ring_width=(dep.region.width / 2) / annuli)
+
+
+class _DisjointSet:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.components = n
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        self.components -= 1
+        return True
+
+
+def reference_build_gg(dep, r):
+    """``build_gg`` as it was: the upper triangle of the distance matrix
+    through ``triu_indices``."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    d = distance_matrix(dep)
+    iu = np.triu_indices(dep.n, 1)
+    keep = d[iu] <= r
+    edges = frozenset(zip(iu[0][keep].tolist(), iu[1][keep].tolist()))
+    return EdgeGraph(dep.n, edges, radius=float(r))
+
+
+def reference_critical_radius(dep):
+    """The ``critical_radius`` that Prim's algorithm replaced: every pair
+    sorted by length and fed to a union-find until one component
+    remains."""
+    n = dep.n
+    d = distance_matrix(dep)
+    iu = np.triu_indices(n, 1)
+    dvec = d[iu]
+    order = np.argsort(dvec, kind="stable")
+    ii, jj = iu[0][order], iu[1][order]
+    dsu = _DisjointSet(n)
+    r_crit = None
+    for k in range(order.size):
+        dsu.union(int(ii[k]), int(jj[k]))
+        if dsu.components == 1:
+            r_crit = float(dvec[order[k]])
+            break
+    assert r_crit is not None, "complete graph is always connected"
+    return r_crit, reference_build_gg(dep, r_crit)
 
 
 def kdtree_degree1(pos, box=None):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kdtree_degree1, line_deployment
+from conftest import kdtree_degree1, line_deployment, reference_critical_radius
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import (
-    EdgeGraph, UNBOUNDED, UNREACHABLE, build_gg, critical_radius,
+    EdgeGraph, UNBOUNDED, UNREACHABLE, build_gg, component_labels, critical_radius,
     degree1_radius, disparity, graph_diameter, hop_distances, hop_matrix,
     induced_subgraph, is_connected, load_graph, save_graph,
 )
@@ -125,6 +125,55 @@ def test_critical_radius_brute_force_small():
         n = int(rng.integers(2, 13))
         dep = generate_deployment("uniform-iid", n, Region(50, 50), int(rng.integers(1 << 30)))
         assert critical_radius(dep)[0] == brute_force_critical_radius(dep)
+
+
+def test_critical_radius_matches_union_find_reference():
+    km = Region(1000, 1000)
+    cases = [generate_deployment("uniform-iid", 1000, km, seed) for seed in range(5)]
+    cases += [
+        generate_deployment("uniform-iid", 3000, km, 0),
+        generate_deployment("grid", 400, km, 0),  # exact ties
+        generate_deployment("grid", 1024, km, 0),
+        generate_deployment("randomised-lattice", 1000, km, 0),
+        line_deployment([3.0, 3.0], side=10.0),  # r_c = 0
+        # Two coincident pairs: the zero-length edges join nodes that are
+        # already in the tree before the one real edge is taken.
+        line_deployment([1.0, 6.0, 1.0, 6.0], side=10.0),
+    ]
+    for dep in cases:
+        r, g = critical_radius(dep)
+        r_ref, g_ref = reference_critical_radius(dep)
+        assert r == r_ref
+        assert g.edges == g_ref.edges and g.radius == g_ref.radius
+    assert critical_radius(cases[-2])[0] == 0.0
+    assert critical_radius(cases[-1])[0] == 5.0
+
+
+def test_component_labels():
+    two = EdgeGraph(6, frozenset([(0, 2), (2, 4), (1, 3)]))  # node 5 isolated
+    labels = component_labels(two)
+    assert labels.tolist() == [0, 1, 0, 1, 0, 2]
+    assert not is_connected(two)
+    assert two.degrees().tolist() == [1, 1, 2, 1, 1, 0]
+    giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+    assert giant.tolist() == [0, 2, 4]
+
+    empty = EdgeGraph(3, frozenset())
+    assert component_labels(empty).tolist() == [0, 1, 2]
+    assert not is_connected(empty)
+    assert empty.degrees().tolist() == [0, 0, 0]
+    assert is_connected(path_graph(4))
+    assert component_labels(path_graph(4)).tolist() == [0, 0, 0, 0]
+
+
+def test_hop_matrix_is_computed_once_and_read_only():
+    g = path_graph(5)
+    hops = hop_matrix(g)
+    assert hop_matrix(g) is hops
+    assert hops[0].tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        hops[0, 1] = 7
+    assert hop_matrix(EdgeGraph(2, frozenset())).tolist() == [[0, -1], [-1, 0]]
 
 
 def test_hop_distances_examples():
