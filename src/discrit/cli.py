@@ -228,8 +228,8 @@ def compare_graphs(file_a, file_b) -> tuple:
     ga, gb = _load(file_a), _load(file_b)
     if ga.n != gb.n:
         raise ValueError(f"node counts differ: {ga.n} vs {gb.n}")
-    d_ab = disparity(ga, gb) if ga.edges else None
-    d_ba = disparity(gb, ga) if gb.edges else None
+    d_ab = disparity(ga, gb) if ga.num_edges else None
+    d_ba = disparity(gb, ga) if gb.num_edges else None
     return d_ab, d_ba
 
 

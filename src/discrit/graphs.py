@@ -38,21 +38,32 @@ class EdgeGraph:
     """Undirected graph over node ids 0..n-1.
 
     ``radius`` is set iff the graph was constructed as a geometric graph.
-    Edges are stored as (i, j) pairs with i < j.
+    ``edges`` is a read-only (E, 2) int array of distinct (i, j) pairs
+    with i < j, in ascending row-major order; the constructor accepts
+    any (E, 2) array or iterable of pairs and normalises it.
     """
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
     radius: float | None = None
 
     def __post_init__(self):
-        edges = frozenset((int(i), int(j)) if i < j else (int(j), int(i)) for i, j in self.edges)
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", edges)
+        raw = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        e = np.asarray(raw, dtype=np.intp)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be (E, 2) pairs, got shape {e.shape}")
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise ValueError(f"self-loop on node {lo[loops[0]]}")
+        bad = np.flatnonzero((lo < 0) | (hi >= self.n))
+        if bad.size:
+            raise ValueError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range for n={self.n}")
+        e = np.column_stack(np.divmod(np.unique(lo * self.n + hi), self.n))
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
 
     @property
     def num_edges(self) -> int:
@@ -60,11 +71,9 @@ class EdgeGraph:
 
     @cached_property
     def _csr(self) -> csr_matrix:
-        if not self.edges:
-            return csr_matrix((self.n, self.n))
-        arr = np.array(sorted(self.edges), dtype=np.intp)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
+        """Symmetric adjacency; column indices are sorted within each row."""
+        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
         data = np.ones(rows.size, dtype=np.int8)
         return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
@@ -80,7 +89,7 @@ class EdgeGraph:
         return np.bincount(self._csr.indices, minlength=self.n)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return bool(np.any((self.edges[:, 0] == min(i, j)) & (self.edges[:, 1] == max(i, j))))
 
 
 class HopTable:
@@ -134,8 +143,7 @@ class HopTable:
 
 def _gg(d: np.ndarray, r: float) -> EdgeGraph:
     """Geometric graph of radius r (closed ball) over distance matrix d."""
-    ii, jj = np.nonzero(np.triu(d <= r, 1))
-    return EdgeGraph(len(d), frozenset(zip(ii.tolist(), jj.tolist())), radius=float(r))
+    return EdgeGraph(len(d), np.argwhere(np.triu(d <= r, 1)), radius=float(r))
 
 
 def build_gg(dep: Deployment, r: float) -> EdgeGraph:
@@ -213,20 +221,21 @@ def disparity(ga: EdgeGraph, gb: EdgeGraph) -> float:
     """Fraction of ga's edges absent from gb."""
     if ga.n != gb.n:
         raise ValueError(f"graphs have different node counts: {ga.n} vs {gb.n}")
-    if not ga.edges:
+    if not ga.num_edges:
         raise ValueError("disparity undefined for an empty edge set in the first graph")
-    return len(ga.edges - gb.edges) / len(ga.edges)
+    ka, kb = (g.edges[:, 0] * g.n + g.edges[:, 1] for g in (ga, gb))
+    return np.setdiff1d(ka, kb, assume_unique=True).size / ka.size
 
 
 def induced_subgraph(g: EdgeGraph, ids) -> EdgeGraph:
     """Subgraph on ``ids``, re-indexed by the sorted order of ids."""
-    ids = sorted(int(i) for i in ids)
-    remap = {old: new for new, old in enumerate(ids)}
-    keep = set(ids)
-    edges = frozenset(
-        (remap[i], remap[j]) for i, j in g.edges if i in keep and j in keep
-    )
-    return EdgeGraph(len(ids), edges, radius=g.radius)
+    ids = np.sort(np.asarray(ids, dtype=np.intp))
+    if ids.size and (ids[0] < 0 or ids[-1] >= g.n):
+        raise ValueError(f"ids out of range for n={g.n}")
+    remap = np.full(g.n, -1, dtype=np.intp)
+    remap[ids] = np.arange(ids.size)
+    sub = remap[g.edges]
+    return EdgeGraph(ids.size, sub[(sub >= 0).all(axis=1)], radius=g.radius)
 
 
 def save_graph(g: EdgeGraph, prefix) -> tuple[Path, Path]:
@@ -237,8 +246,7 @@ def save_graph(g: EdgeGraph, prefix) -> tuple[Path, Path]:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j"])
-        for i, j in sorted(g.edges):
-            writer.writerow([i, j])
+        writer.writerows(g.edges.tolist())
     header = {"n": g.n, "radius": g.radius}
     hdr_path.write_text(json.dumps(header) + "\n")
     return csv_path, hdr_path
@@ -249,9 +257,6 @@ def load_graph(prefix) -> EdgeGraph:
     csv_path = prefix.with_name(prefix.name + ".edges.csv")
     hdr_path = prefix.with_name(prefix.name + ".graph.json")
     header = json.loads(hdr_path.read_text())
-    edges = set()
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            edges.add((int(rec["i"]), int(rec["j"])))
-    return EdgeGraph(header["n"], frozenset(edges), radius=header["radius"])
+        edges = [(int(rec["i"]), int(rec["j"])) for rec in csv.DictReader(fh)]
+    return EdgeGraph(header["n"], edges, radius=header["radius"])

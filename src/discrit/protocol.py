@@ -99,7 +99,7 @@ def _check_round_invariants(prev, new, initial_set, kmax, mode):
         raise InvariantViolation(f"{mode}: absorbed threshold changed")
 
 
-def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress, check_invariants):
+def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
     """Engine core. ``score`` is an (n, n) key matrix, lower = closer.
 
     score[i, j] is the key node i holds for node j; the diagonal is
@@ -144,8 +144,7 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress, che
         cand = np.where(deliver, thr[:, None], -np.inf).max(axis=0)
         new_thr = np.maximum(thr, cand)  # own threshold always participates
         changed = new_thr != thr
-        if check_invariants:
-            _check_round_invariants(thr, new_thr, initial_set, kmax, mode)
+        _check_round_invariants(thr, new_thr, initial_set, kmax, mode)
 
         member = s <= new_thr[:, None]
         trace.thresholds.append(natural(new_thr))
@@ -168,13 +167,11 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress, che
         sender = changed if suppress else np.ones(n, dtype=bool)
         thr = new_thr
 
-    adjacency = [set(np.flatnonzero(member[i]).tolist()) - {i} for i in range(n)]
-    graph = bidirectionalize(adjacency)
-    return graph, trace
+    return EdgeGraph(n, np.argwhere(np.triu(member | member.T, 1))), trace
 
 
-def run_range_algorithm(dep: Deployment, dist=None, *, termination="centralized",
-                        timeout_rounds=1, suppress=True, check_invariants=True):
+def run_range_algorithm(dep: Deployment, *, termination="centralized",
+                        timeout_rounds=1, suppress=True):
     """Distance-based construction of the degree-1 geometric graph.
 
     Ranges start at the nearest-neighbour distance and rise via max
@@ -182,15 +179,12 @@ def run_range_algorithm(dep: Deployment, dist=None, *, termination="centralized"
     connected, the output equals it and the run converges within its hop
     diameter.
     """
-    d = distance_matrix(dep) if dist is None else np.asarray(dist, dtype=np.float64)
-    if d.shape[0] != d.shape[1]:
-        raise ValueError(f"distance view must be square, got {d.shape}")
-    return _run_minmax(d, "distance", lambda t: t.copy(), termination,
-                       timeout_rounds, suppress, check_invariants)
+    return _run_minmax(distance_matrix(dep), "distance", lambda t: t.copy(), termination,
+                       timeout_rounds, suppress)
 
 
 def run_discrit(weights: LinkWeightTable, *, termination="centralized",
-                timeout_rounds=1, suppress=True, check_invariants=True):
+                timeout_rounds=1, suppress=True):
     """Weight-based construction from Hello link-weight estimates.
 
     Node i holds incoming weights w[j, i]; its p-threshold starts at the
@@ -205,7 +199,7 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
         raise ValueError(f"node {int(dead[0])} has no incoming weight > 0; "
                          "cannot initialise its p-threshold")
     return _run_minmax(-p.T, "discrit", lambda t: -t, termination,
-                       timeout_rounds, suppress, check_invariants)
+                       timeout_rounds, suppress)
 
 
 def bidirectionalize(adjacency) -> EdgeGraph:
@@ -214,21 +208,15 @@ def bidirectionalize(adjacency) -> EdgeGraph:
     Edge (i, j) is present iff j in N(i) or i in N(j); self-loops are
     dropped. ``adjacency`` is a sequence or dict covering ids 0..n-1.
     """
-    if isinstance(adjacency, dict):
-        n = len(adjacency)
-        items = [(i, adjacency[i]) for i in range(n)]
-    else:
-        n = len(adjacency)
-        items = list(enumerate(adjacency))
-    edges = set()
-    for i, nbrs in items:
-        for j in nbrs:
-            j = int(j)
-            if not (0 <= j < n):
-                raise ValueError(f"adjacency of {i} references out-of-range id {j}")
-            if j != i:
-                edges.add((min(i, j), max(i, j)))
-    return EdgeGraph(n, frozenset(edges))
+    n = len(adjacency)
+    sets = [adjacency[i] for i in range(n)] if isinstance(adjacency, dict) else list(adjacency)
+    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in sets])
+    dst = np.fromiter((int(j) for nbrs in sets for j in nbrs), dtype=np.intp, count=src.size)
+    bad = np.flatnonzero((dst < 0) | (dst >= n))
+    if bad.size:
+        raise ValueError(f"adjacency of {src[bad[0]]} references out-of-range id {dst[bad[0]]}")
+    keep = src != dst
+    return EdgeGraph(n, np.column_stack([src[keep], dst[keep]]))
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:

@@ -109,42 +109,34 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
     return float((a + b) / 2)
 
 
+def _h_hop_topology(hops: np.ndarray, h: int) -> EdgeGraph:
+    """T_h read off a hop matrix; find_h_opt builds every h from one."""
+    return EdgeGraph(len(hops), np.argwhere(np.triu(hops == h, 1)))
+
+
 def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
     """Graph joining exactly the pairs at hop distance h on g."""
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if not is_connected(g):
         raise ValueError("base graph must be connected")
-    hops = hop_matrix(g)
-    ii, jj = np.nonzero(np.triu(hops == h, 1))
-    return EdgeGraph(g.n, frozenset(zip(ii.tolist(), jj.tolist())))
+    return _h_hop_topology(hop_matrix(g), h)
 
 
-def _topology_adjacency(hops: np.ndarray, h: int):
-    """Flattened adjacency of the h-hop topology; None if empty."""
-    match = hops == h
-    np.fill_diagonal(match, False)
-    deg = match.sum(axis=1)
-    active = np.flatnonzero(deg > 0)
-    if active.size == 0:
-        return None
-    flat = np.nonzero(match)[1]
-    start = np.zeros(active.size, dtype=np.int64)
-    np.cumsum(deg[active][:-1], out=start[1:])
-    return active, deg[active], flat, start
-
-
-def _simulate_psi(dist, adj, p: SelfOrgParams, seed: int) -> float:
+def _simulate_psi(dist, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
     """Saturated single-cell Aloha on a fixed topology.
 
-    Each slot every active node attempts with probability q; a slot
-    carries traffic iff exactly one node attempts, and the winner sends
-    to a uniformly random topology neighbour, crediting
-    d * w * log(1 + alpha0 p_t / (d^eta sigma2)) bit-meters. Returns
-    total bit-meters per slot. Draw order: all attempt indicators for
-    all slots, then one destination draw per successful slot.
+    Each slot every node with a topology neighbour attempts with
+    probability q; a slot carries traffic iff exactly one node attempts,
+    and the winner sends to a uniformly random topology neighbour,
+    crediting d * w * log(1 + alpha0 p_t / (d^eta sigma2)) bit-meters.
+    Returns total bit-meters per slot. Draw order: all attempt
+    indicators for all slots, then one destination draw per successful
+    slot; a winner's neighbours are taken in ascending id order.
     """
-    active, deg, flat, start = adj
+    csr = topology._csr
+    deg = np.diff(csr.indptr)
+    active = np.flatnonzero(deg)
     rng = np.random.default_rng(seed)
     total = 0.0
     chunk = max(1, min(p.slots, 2_000_000 // max(active.size, 1)))
@@ -153,11 +145,11 @@ def _simulate_psi(dist, adj, p: SelfOrgParams, seed: int) -> float:
         m = min(chunk, p.slots - done)
         attempts = rng.random((m, active.size)) < p.q
         natt = attempts.sum(axis=1)
-        winners = attempts.argmax(axis=1)[natt == 1]
+        winners = active[attempts.argmax(axis=1)[natt == 1]]
         if winners.size:
             u = rng.random(winners.size)
-            nbr = flat[start[winners] + (u * deg[winners]).astype(np.int64)]
-            d = dist[active[winners], nbr]
+            nbr = csr.indices[csr.indptr[winners] + (u * deg[winners]).astype(np.int64)]
+            d = dist[winners, nbr]
             total += float((d * p.w * link_rate(d, p)).sum())
         done += m
     return total / p.slots
@@ -167,15 +159,13 @@ def simulate_transport_capacity(dep: Deployment, g_base: EdgeGraph, h: int,
                                 p: SelfOrgParams, seed: int) -> float:
     """Simulated capacity of the h-hop topology of g_base (bit-meters/sec).
 
-    Nodes without an h-hop neighbour sit out of contention.
+    g_base must be connected. Nodes without an h-hop neighbour sit out
+    of contention.
     """
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    hops = hop_matrix(g_base)
-    adj = _topology_adjacency(hops, h)
-    if adj is None:
+    topology = build_h_hop_topology(g_base, h)
+    if not topology.num_edges:
         raise ValueError(f"every node is isolated in the {h}-hop topology")
-    return _simulate_psi(distance_matrix(dep), adj, p, seed)
+    return _simulate_psi(distance_matrix(dep), topology, p, seed)
 
 
 @dataclass
@@ -199,22 +189,22 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
+    if not is_connected(g_base):
+        raise ValueError("base graph must be connected")
     hops = hop_matrix(g_base)
     dist = distance_matrix(dep)
     child_seeds = np.random.SeedSequence(seed).spawn(h_max)
     rows = []
     for h in range(1, h_max + 1):
-        adj = _topology_adjacency(hops, h)
-        if adj is None:
+        topology = _h_hop_topology(hops, h)
+        if not topology.num_edges:
             rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
             continue
-        active = adj[0]
-        iu = np.nonzero(np.triu(hops == h, 1))
-        n_edges = iu[0].size
-        mean_len = float(dist[iu].mean())
-        psi_sim = _simulate_psi(dist, adj, p, child_seeds[h - 1])
-        a = p.a if p.a is not None else aloha_contention_constant(active.size, p.q, p.w)
-        rows.append(PsiRow(h, int(n_edges), int(active.size), mean_len,
+        n_active = int(np.count_nonzero(topology.degrees()))
+        mean_len = float(dist[topology.edges[:, 0], topology.edges[:, 1]].mean())
+        psi_sim = _simulate_psi(dist, topology, p, child_seeds[h - 1])
+        a = p.a if p.a is not None else aloha_contention_constant(n_active, p.q, p.w)
+        rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
                            psi_sim, theoretical_psi(mean_len, p, a=a)))
     psi = [r.psi_sim for r in rows]
     h_opt = 1 + int(np.argmax(psi))

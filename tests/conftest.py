@@ -1,4 +1,9 @@
+import csv
+import functools
 import itertools
+import json
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +12,18 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from discrit.channel import (
-    LinkWeightTable, PowerHistograms, _gain_matrix, square_annulus_index,
+    ChannelParams, LinkWeightTable, PowerHistograms, _gain_matrix, simulate_hello,
+    square_annulus_index,
 )
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph
+from discrit.protocol import run_discrit, run_range_algorithm
+from discrit.selforg import link_rate
+
+
+def edge_set(g):
+    """The edges of an ``EdgeGraph`` as a set of (i, j) tuples."""
+    return set(map(tuple, g.edges.tolist()))
 
 
 def line_deployment(xs, side=1000.0, y=None):
@@ -164,6 +177,132 @@ def reference_critical_radius(dep):
             break
     assert r_crit is not None, "complete graph is always connected"
     return r_crit, reference_build_gg(dep, r_crit)
+
+
+# The graph code from before ``EdgeGraph.edges`` became an array, kept
+# as oracles for the array code. ``SetGraph`` holds a graph the way
+# ``EdgeGraph`` did: ``edges`` is a frozenset of (i, j) tuples, i < j.
+SetGraph = namedtuple("SetGraph", "n edges radius", defaults=(None,))
+
+
+def set_graph(g):
+    return SetGraph(g.n, frozenset(edge_set(g)), g.radius)
+
+
+def reference_bidirectionalize(adjacency):
+    """``bidirectionalize`` as it was: a Python loop over every pair."""
+    if isinstance(adjacency, dict):
+        n = len(adjacency)
+        items = [(i, adjacency[i]) for i in range(n)]
+    else:
+        n = len(adjacency)
+        items = list(enumerate(adjacency))
+    edges = set()
+    for i, nbrs in items:
+        for j in nbrs:
+            j = int(j)
+            if not (0 <= j < n):
+                raise ValueError(f"adjacency of {i} references out-of-range id {j}")
+            if j != i:
+                edges.add((min(i, j), max(i, j)))
+    return SetGraph(n, frozenset(edges))
+
+
+def reference_induced_subgraph(g, ids):
+    """``induced_subgraph`` as it was, with a dict remap."""
+    ids = sorted(int(i) for i in ids)
+    remap = {old: new for new, old in enumerate(ids)}
+    keep = set(ids)
+    edges = frozenset(
+        (remap[i], remap[j]) for i, j in g.edges if i in keep and j in keep
+    )
+    return SetGraph(len(ids), edges, radius=g.radius)
+
+
+def reference_disparity(ga, gb):
+    """``disparity`` as it was: a set difference."""
+    if ga.n != gb.n:
+        raise ValueError(f"graphs have different node counts: {ga.n} vs {gb.n}")
+    if not ga.edges:
+        raise ValueError("disparity undefined for an empty edge set in the first graph")
+    return len(ga.edges - gb.edges) / len(ga.edges)
+
+
+def reference_save_graph(g, prefix):
+    """``save_graph`` as it was: one row per sorted edge tuple."""
+    prefix = Path(prefix)
+    csv_path = prefix.with_name(prefix.name + ".edges.csv")
+    hdr_path = prefix.with_name(prefix.name + ".graph.json")
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j"])
+        for i, j in sorted(g.edges):
+            writer.writerow([i, j])
+    header = {"n": g.n, "radius": g.radius}
+    hdr_path.write_text(json.dumps(header) + "\n")
+    return csv_path, hdr_path
+
+
+def reference_topology_adjacency(hops, h):
+    """Flattened adjacency of the h-hop topology as ``selforg`` built it
+    from the hop matrix; None if empty."""
+    match = hops == h
+    np.fill_diagonal(match, False)
+    deg = match.sum(axis=1)
+    active = np.flatnonzero(deg > 0)
+    if active.size == 0:
+        return None
+    flat = np.nonzero(match)[1]
+    start = np.zeros(active.size, dtype=np.int64)
+    np.cumsum(deg[active][:-1], out=start[1:])
+    return active, deg[active], flat, start
+
+
+def reference_simulate_psi(dist, adj, p, seed):
+    """The Aloha loop as it read ``reference_topology_adjacency``."""
+    active, deg, flat, start = adj
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    chunk = max(1, min(p.slots, 2_000_000 // max(active.size, 1)))
+    done = 0
+    while done < p.slots:
+        m = min(chunk, p.slots - done)
+        attempts = rng.random((m, active.size)) < p.q
+        natt = attempts.sum(axis=1)
+        winners = attempts.argmax(axis=1)[natt == 1]
+        if winners.size:
+            u = rng.random(winners.size)
+            nbr = flat[start[winners] + (u * deg[winners]).astype(np.int64)]
+            d = dist[active[winners], nbr]
+            total += float((d * p.w * link_rate(d, p)).sum())
+        done += m
+    return total / p.slots
+
+
+@functools.lru_cache(maxsize=None)
+def edge_format_cases():
+    """Protocol runs the array-edge code is checked on against the oracles
+    above: uniform-iid n=1000 seeds 0-2, a 32 x 32 grid (exact distance
+    ties) and a randomised lattice in distance mode, and weight mode on
+    the criterion-8 Hello weights of uniform-iid seed 0.
+
+    Each case is ``(label, dep, graph, member)``, where ``member[i]`` is
+    node i's adjacent set rebuilt from the run's final thresholds.
+    """
+    km = Region(1000.0, 1000.0)
+    deps = [(f"uniform-seed{s}", generate_deployment("uniform-iid", 1000, km, s)) for s in range(3)]
+    deps += [("grid-32x32", generate_deployment("grid", 1024, km, 0)),
+             ("randomised-lattice", generate_deployment("randomised-lattice", 1000, km, 0))]
+    cases = []
+    for label, dep in deps:
+        g, trace = run_range_algorithm(dep)
+        cases.append((label, dep, g, distance_matrix(dep) <= trace.final_thresholds()[:, None]))
+    dep = deps[0][1]
+    hello = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=5000)
+    weights = simulate_hello(dep, hello, 0)
+    g, trace = run_discrit(weights)
+    cases.append(("hello-seed0-weights", dep, g, weights.p_hat.T >= trace.final_thresholds()[:, None]))
+    return cases
 
 
 def kdtree_degree1(pos, box=None):

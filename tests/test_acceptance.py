@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import enumerate_hello_p
+from conftest import edge_set, enumerate_hello_p
 from discrit.channel import ChannelParams, LinkWeightTable, homogeneity_check, simulate_hello
 from discrit.cli import run_pipeline
 from discrit.discretize import rho_trend
@@ -70,7 +70,7 @@ def test_criterion_02_range_algorithm_convergence():
             continue
         checked += 1
         g, trace = run_range_algorithm(dep)
-        exact += g.edges == g1.edges
+        exact += edge_set(g) == edge_set(g1)
         bounded += trace.iterations <= graph_diameter(g1)
     ok = checked > 0 and exact == checked and bounded == checked
     assert report(2, "range algorithm reaches degree-1 graph within diameter", ok,
@@ -134,9 +134,9 @@ def test_criterion_04_degree1_equals_critical_fraction():
             rc, gc = critical_radius(dep)
             connected = is_connected(g1)
             if not (r1 <= rc and connected == (r1 == rc)
-                    and (not connected or g1.edges == gc.edges)):
+                    and (not connected or edge_set(g1) == edge_set(gc))):
                 violations.append((n, seed))
-            equal += connected and g1.edges == gc.edges
+            equal += connected and edge_set(g1) == edge_set(gc)
         fractions.append(equal / seeds)
         # The fraction is binomial(seeds, ref)/seeds: it must lie within
         # 3 standard errors of the oracle's reference share.
@@ -165,7 +165,7 @@ def test_criterion_05_monotone_weight_equivalence():
         np.fill_diagonal(p, 0.0)
         w = LinkWeightTable(np.zeros((300, 300), np.int64), np.zeros(300, np.int64), p)
         g_w, _ = run_discrit(w)
-        agree += g_dist.edges == g_w.edges
+        agree += edge_set(g_dist) == edge_set(g_w)
     assert report(5, "weight protocol equals range protocol on exp(-d)",
                   agree == 20, f"{agree}/20 seeds")
 

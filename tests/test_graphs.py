@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kdtree_degree1, line_deployment, reference_critical_radius
-from discrit.geometry import Region, distance_matrix, generate_deployment
+from conftest import (
+    edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_critical_radius,
+    reference_disparity, reference_induced_subgraph, reference_save_graph, set_graph,
+)
+from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
     EdgeGraph, UNBOUNDED, UNREACHABLE, build_gg, component_labels, critical_radius,
     degree1_radius, disparity, graph_diameter, hop_distances, hop_matrix,
@@ -16,7 +19,7 @@ from discrit.graphs import (
 
 def brute_force_critical_radius(dep):
     """Try every pairwise distance in increasing order with BFS
-    connectivity; independent of the union-find path."""
+    connectivity; independent of the Prim's-algorithm path."""
     n = dep.n
     d = distance_matrix(dep)
     for r in sorted(set(d[np.triu_indices(n, 1)].tolist())):
@@ -43,16 +46,16 @@ def path_graph(n):
 
 def test_build_gg_examples():
     dep = line_deployment([0.0, 1.0, 3.0], side=10.0)
-    assert build_gg(dep, 0.0).edges == frozenset()
-    assert build_gg(dep, 1.0).edges == {(0, 1)}
-    assert build_gg(dep, 3.0).edges == {(0, 1), (0, 2), (1, 2)}
+    assert edge_set(build_gg(dep, 0.0)) == set()
+    assert edge_set(build_gg(dep, 1.0)) == {(0, 1)}
+    assert edge_set(build_gg(dep, 3.0)) == {(0, 1), (0, 2), (1, 2)}
     with pytest.raises(ValueError):
         build_gg(dep, -1.0)
 
 
 def test_build_gg_closed_ball():
     dep = line_deployment([0.0, 2.0], side=10.0)
-    assert build_gg(dep, 2.0).edges == {(0, 1)}  # boundary included
+    assert edge_set(build_gg(dep, 2.0)) == {(0, 1)}  # boundary included
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,13 +63,13 @@ def test_build_gg_closed_ball():
 def test_build_gg_monotone(seed, ra, rb):
     dep = generate_deployment("uniform-iid", 15, Region(100, 100), seed)
     lo, hi = sorted((ra, rb))
-    assert build_gg(dep, lo).edges <= build_gg(dep, hi).edges
+    assert edge_set(build_gg(dep, lo)) <= edge_set(build_gg(dep, hi))
 
 
 def test_critical_radius_examples():
     two = line_deployment([2.0, 7.0], side=10.0)
     r, g = critical_radius(two)
-    assert r == 5.0 and g.edges == {(0, 1)}
+    assert r == 5.0 and edge_set(g) == {(0, 1)}
 
     r, _ = critical_radius(line_deployment([0.0, 1.0, 3.0], side=10.0))
     assert r == 2.0
@@ -80,7 +83,7 @@ def test_degree1_radius_examples():
     r1, g1 = degree1_radius(line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0))
     assert r1 == 1.0
     assert not is_connected(g1)
-    assert g1.edges == {(0, 1), (2, 3)}
+    assert edge_set(g1) == {(0, 1), (2, 3)}
     two = line_deployment([2.0, 7.0], side=10.0)
     assert degree1_radius(two)[0] == critical_radius(two)[0] == 5.0
 
@@ -108,7 +111,7 @@ def test_degree1_matches_kdtree_oracle():
         for seed in range(50):
             dep = generate_deployment("uniform-iid", n, Region(1000, 1000), seed)
             r1, g1 = degree1_radius(dep)
-            assert kdtree_degree1(dep.positions) == (r1, set(g1.edges), is_connected(g1))
+            assert kdtree_degree1(dep.positions) == (r1, edge_set(g1), is_connected(g1))
 
 
 def test_kdtree_oracle_torus_wraps():
@@ -144,7 +147,7 @@ def test_critical_radius_matches_union_find_reference():
         r, g = critical_radius(dep)
         r_ref, g_ref = reference_critical_radius(dep)
         assert r == r_ref
-        assert g.edges == g_ref.edges and g.radius == g_ref.radius
+        assert edge_set(g) == edge_set(g_ref) and g.radius == g_ref.radius
     assert critical_radius(cases[-2])[0] == 0.0
     assert critical_radius(cases[-1])[0] == 5.0
 
@@ -228,14 +231,27 @@ def test_edge_graph_validation():
     with pytest.raises(ValueError):
         EdgeGraph(3, frozenset([(0, 3)]))
     g = EdgeGraph(3, frozenset([(2, 0)]))
-    assert g.edges == {(0, 2)}  # normalised order
+    assert edge_set(g) == {(0, 2)}  # normalised order
+    g = EdgeGraph(4, np.array([[3, 1], [0, 2], [1, 3], [0, 1]]))
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]  # sorted, duplicates removed
+    assert g.edges.dtype == np.intp and not g.edges.flags.writeable
+    assert g.num_edges == 3 and g.has_edge(3, 1) and not g.has_edge(2, 3)
+    assert EdgeGraph(3, []).edges.shape == (0, 2)
+    with pytest.raises(ValueError, match="self-loop on node 2"):
+        EdgeGraph(3, np.array([[0, 1], [2, 2]]))
+    with pytest.raises(ValueError, match=r"edge \(-1,0\) out of range"):
+        EdgeGraph(3, [(0, -1)])
+    with pytest.raises(ValueError):
+        EdgeGraph(3, np.zeros((2, 3), dtype=int))
 
 
 def test_induced_subgraph():
     g = EdgeGraph(5, frozenset([(0, 1), (1, 2), (3, 4), (1, 4)]))
     sub = induced_subgraph(g, [1, 2, 4])
     assert sub.n == 3
-    assert sub.edges == {(0, 1), (0, 2)}  # (1,2)->(0,1), (1,4)->(0,2)
+    assert edge_set(sub) == {(0, 1), (0, 2)}  # (1,2)->(0,1), (1,4)->(0,2)
+    with pytest.raises(ValueError):
+        induced_subgraph(g, [1, 5])
 
 
 def test_graph_io_roundtrip(tmp_path):
@@ -243,4 +259,41 @@ def test_graph_io_roundtrip(tmp_path):
     _, g = critical_radius(dep)
     save_graph(g, tmp_path / "g")
     back = load_graph(tmp_path / "g")
-    assert back.n == g.n and back.edges == g.edges and back.radius == g.radius
+    assert back.n == g.n and edge_set(back) == edge_set(g) and back.radius == g.radius
+
+
+def test_load_graph_rejects_bad_rows(tmp_path):
+    (tmp_path / "g.graph.json").write_text('{"n": 3, "radius": null}\n')
+    for rows, message in (("0,1\n1,1\n", "self-loop on node 1"),
+                          ("0,1\n0,3\n", r"edge \(0,3\) out of range for n=3")):
+        (tmp_path / "g.edges.csv").write_text("i,j\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            load_graph(tmp_path / "g")
+
+
+def test_graph_ops_match_set_reference(tmp_path):
+    # disparity, induced_subgraph and save_graph against the frozenset
+    # code they replaced, on protocol and critical graphs with exact
+    # distance ties (grid), both protocol modes and an empty graph.
+    rng = np.random.default_rng(5)
+    checked = []
+    for label, dep, g, _ in edge_format_cases():
+        cgg = critical_radius(dep)[1]
+        checked.append((label, g, cgg, [interior_nodes(dep, 100.0), rng.permutation(dep.n)[: dep.n // 2]]))
+    empty = EdgeGraph(6, [])
+    checked.append(("empty", empty, path_graph(6), [[4, 0, 2], []]))
+    for label, g, ref_graph, id_sets in checked:
+        old_g, old_ref = set_graph(g), set_graph(ref_graph)
+        assert disparity(ref_graph, g) == reference_disparity(old_ref, old_g), label
+        if g.num_edges:
+            assert disparity(g, ref_graph) == reference_disparity(old_g, old_ref), label
+        for graph in (g, ref_graph):
+            for ids in id_sets:
+                sub = induced_subgraph(graph, ids)
+                old = reference_induced_subgraph(set_graph(graph), ids)
+                assert (sub.n, edge_set(sub), sub.radius) == (old.n, old.edges, old.radius), label
+            new = save_graph(graph, tmp_path / "new")
+            old = reference_save_graph(set_graph(graph), tmp_path / "old")
+            assert [p.read_bytes() for p in new] == [p.read_bytes() for p in old], label
+    with pytest.raises(ValueError, match="empty edge set"):
+        disparity(empty, path_graph(6))

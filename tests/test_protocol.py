@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_deployment
+from conftest import (
+    edge_format_cases, edge_set, line_deployment, reference_bidirectionalize,
+)
 from discrit.channel import LinkWeightTable
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import degree1_radius, graph_diameter, is_connected
@@ -26,7 +28,7 @@ def test_two_nodes_converges_immediately():
     dep = line_deployment([2.0, 7.0], side=10.0)
     g, trace = run_range_algorithm(dep)
     assert trace.iterations == 0
-    assert g.edges == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
     assert trace.final_thresholds().tolist() == [5.0, 5.0]
 
 
@@ -34,9 +36,9 @@ def test_collinear_013_hand_trace():
     dep = line_deployment([0.0, 1.0, 3.0], side=10.0)
     g, trace = run_range_algorithm(dep)
     assert trace.final_thresholds().tolist() == [2.0, 2.0, 2.0]
-    assert g.edges == {(0, 1), (1, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2)}
     _, g1 = degree1_radius(dep)
-    assert g.edges == g1.edges
+    assert edge_set(g) == edge_set(g1)
 
 
 def test_collinear_0156_disconnected_immediate():
@@ -45,7 +47,7 @@ def test_collinear_0156_disconnected_immediate():
     dep = line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0)
     g, trace = run_range_algorithm(dep)
     assert trace.iterations == 0
-    assert g.edges == {(0, 1), (2, 3)}
+    assert edge_set(g) == {(0, 1), (2, 3)}
 
 
 def test_converges_to_degree1_graph_within_diameter():
@@ -56,7 +58,7 @@ def test_converges_to_degree1_graph_within_diameter():
         if not is_connected(g1):
             continue
         g, trace = run_range_algorithm(dep)
-        assert g.edges == g1.edges
+        assert edge_set(g) == edge_set(g1)
         assert trace.iterations <= graph_diameter(g1)
         checked += 1
     assert checked >= 5
@@ -114,7 +116,7 @@ def test_suppression_equivalence():
         dep = generate_deployment("uniform-iid", 50, Region(1000, 1000), seed)
         g_on, t_on = run_range_algorithm(dep, suppress=True)
         g_off, t_off = run_range_algorithm(dep, suppress=False)
-        assert g_on.edges == g_off.edges
+        assert edge_set(g_on) == edge_set(g_off)
         assert t_on.iterations == t_off.iterations
         assert t_on.messages <= t_off.messages
 
@@ -125,7 +127,7 @@ def test_distributed_termination_agrees():
     for dep in deps:
         g_c, t_c = run_range_algorithm(dep, termination="centralized")
         g_d, t_d = run_range_algorithm(dep, termination="distributed", timeout_rounds=1)
-        assert g_c.edges == g_d.edges
+        assert edge_set(g_c) == edge_set(g_d)
         assert t_c.iterations == t_d.iterations
         assert detect_quiescence(t_d, 1)
 
@@ -134,7 +136,7 @@ def test_two_node_distributed_timeout_one():
     dep = line_deployment([2.0, 7.0], side=10.0)
     g_c, t_c = run_range_algorithm(dep, termination="centralized")
     g_d, t_d = run_range_algorithm(dep, termination="distributed", timeout_rounds=1)
-    assert g_c.edges == g_d.edges
+    assert edge_set(g_c) == edge_set(g_d)
     assert t_c.iterations == t_d.iterations == 0
 
 
@@ -150,7 +152,7 @@ def test_discrit_two_nodes_bidirectional():
     p = np.array([[0.0, 0.4], [0.6, 0.0]])
     w = LinkWeightTable(np.zeros((2, 2), np.int64), np.zeros(2, np.int64), p)
     g, trace = run_discrit(w)
-    assert g.edges == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
     # weight-mode thresholds never increase
     stacked = np.stack(trace.thresholds)
     assert (np.diff(stacked, axis=0) <= 0).all()
@@ -162,7 +164,7 @@ def test_discrit_matches_range_algorithm_on_monotone_weights():
         dep = generate_deployment("uniform-iid", 120, Region(1000, 1000), seed)
         g_dist, t_dist = run_range_algorithm(dep)
         g_w, t_w = run_discrit(synthetic_weights(dep))
-        assert g_dist.edges == g_w.edges
+        assert edge_set(g_dist) == edge_set(g_w)
         assert t_dist.iterations == t_w.iterations
 
 
@@ -190,7 +192,8 @@ def test_bidirectionalize_union_properties(adj):
     n = len(adj)
     adj = [{j for j in nbrs if j < n} for nbrs in adj]
     g = bidirectionalize(adj)
-    for i, j in g.edges:
+    assert edge_set(g) == reference_bidirectionalize(adj).edges
+    for i, j in edge_set(g):
         assert i != j
         assert j in adj[i] or i in adj[j]
     for i in range(n):
@@ -201,13 +204,26 @@ def test_bidirectionalize_union_properties(adj):
 
 def test_bidirectionalize():
     g = bidirectionalize({0: {1}, 1: set()})
-    assert g.edges == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
     sym = bidirectionalize([{1}, {0, 2}, {1}])
-    assert sym.edges == {(0, 1), (1, 2)}
+    assert edge_set(sym) == {(0, 1), (1, 2)}
     selfs = bidirectionalize([{0}, {1}, {2}])
-    assert selfs.edges == frozenset()
-    with pytest.raises(ValueError):
+    assert edge_set(selfs) == set()
+    with pytest.raises(ValueError, match="adjacency of 0 references out-of-range id 5"):
         bidirectionalize([{5}, set()])
+    with pytest.raises(ValueError, match="adjacency of 1 references out-of-range id -1"):
+        bidirectionalize({0: {1}, 1: {0, -1}})
+
+
+def test_protocol_graph_matches_bidirectionalize_reference():
+    # The engine's array output against the per-node adjacency sets it
+    # used to build and hand to the set-based bidirectionalize.
+    for label, dep, g, member in edge_format_cases():
+        adjacency = [set(np.flatnonzero(member[i]).tolist()) - {i} for i in range(dep.n)]
+        ref = reference_bidirectionalize(adjacency)
+        assert g.n == ref.n
+        assert edge_set(g) == ref.edges, label
+        assert edge_set(bidirectionalize(adjacency)) == ref.edges, label
 
 
 def test_trace_csv(tmp_path):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import line_deployment
-from discrit.geometry import Region, generate_deployment
-from discrit.graphs import EdgeGraph, critical_radius, graph_diameter
+from conftest import (
+    edge_format_cases, edge_set, line_deployment, reference_simulate_psi,
+    reference_topology_adjacency,
+)
+from discrit.geometry import Region, distance_matrix, generate_deployment
+from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
     SelfOrgParams, aloha_contention_constant, build_h_hop_topology, find_h_opt,
     optimal_hop_length, simulate_transport_capacity, theoretical_psi,
@@ -49,13 +52,13 @@ def test_h_hop_topology_examples():
     dep = generate_deployment("uniform-iid", 80, Region(1000, 1000), 1)
     _, cgg = critical_radius(dep)
     t1 = build_h_hop_topology(cgg, 1)
-    assert t1.edges == cgg.edges
+    assert edge_set(t1) == edge_set(cgg)
 
     g = path_graph(5)
     t2 = build_h_hop_topology(g, 2)
-    assert t2.edges == {(0, 2), (1, 3), (2, 4)}
+    assert edge_set(t2) == {(0, 2), (1, 3), (2, 4)}
     beyond = build_h_hop_topology(g, 7)
-    assert beyond.edges == frozenset()
+    assert edge_set(beyond) == set()
     with pytest.raises(ValueError):
         build_h_hop_topology(g, 0)
     with pytest.raises(ValueError):
@@ -70,10 +73,54 @@ def test_h_hop_topologies_partition_pairs():
     total = 0
     for h in range(1, diam + 1):
         th = build_h_hop_topology(cgg, h)
-        assert not (th.edges & seen)
-        seen |= th.edges
+        assert not (edge_set(th) & seen)
+        seen |= edge_set(th)
         total += th.num_edges
     assert total == 70 * 69 // 2
+
+
+def test_h_hop_topology_matches_reference():
+    # T_h's edges and CSR against the flattened adjacency and the
+    # triu pairs that selforg used to read off the hop matrix; psi and
+    # the mean hop length against the old Aloha loop, h = 1..8, where
+    # every node contends, and at the diameter, where few do.
+    h_max = 8
+    for label, dep, _, _ in edge_format_cases():
+        cgg = critical_radius(dep)[1]
+        hops, dist = hop_matrix(cgg), distance_matrix(dep)
+        _, rows = find_h_opt(dep, cgg, P, h_max, seed=0)
+        child_seeds = np.random.SeedSequence(0).spawn(h_max)
+        for h, row in zip(range(1, h_max + 1), rows):
+            topology = build_h_hop_topology(cgg, h)
+            iu = np.nonzero(np.triu(hops == h, 1))
+            assert np.array_equal(topology.edges, np.column_stack(iu)), (label, h)
+            active, deg, flat, start = adj = reference_topology_adjacency(hops, h)
+            csr = topology._csr
+            assert np.array_equal(np.flatnonzero(np.diff(csr.indptr)), active), (label, h)
+            assert np.array_equal(np.diff(csr.indptr)[active], deg), (label, h)
+            assert np.array_equal(csr.indices, flat), (label, h)
+            assert np.array_equal(csr.indptr[active], start), (label, h)
+            assert (row.n_edges, row.n_active) == (iu[0].size, active.size), (label, h)
+            assert row.mean_hop_len == float(dist[iu].mean()), (label, h)
+            assert row.psi_sim == reference_simulate_psi(dist, adj, P, child_seeds[h - 1]), (label, h)
+        # At the diameter only the ends of the longest paths contend.
+        h = graph_diameter(cgg)
+        psi = simulate_transport_capacity(dep, cgg, h, P, seed=5)
+        assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, 5), label
+    # Past the diameter T_h is empty and scores zero.
+    dep = line_deployment([100.0, 200.0, 300.0], side=1000.0)
+    _, rows = find_h_opt(dep, path_graph(3), P, 3, seed=0)
+    assert [(r.n_edges, r.n_active) for r in rows] == [(2, 3), (1, 2), (0, 0)]
+    assert rows[2].psi_sim == 0.0 and math.isnan(rows[2].mean_hop_len)
+
+
+def test_disconnected_base_graph_rejected():
+    dep = line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0)
+    _, g1 = degree1_radius(dep)
+    with pytest.raises(ValueError, match="base graph must be connected"):
+        find_h_opt(dep, g1, P, 2, seed=0)
+    with pytest.raises(ValueError, match="base graph must be connected"):
+        simulate_transport_capacity(dep, g1, 1, P, seed=0)
 
 
 def test_two_node_aloha_closed_form():
