@@ -13,13 +13,12 @@ Library layout:
 """
 
 from .geometry import (
-    Region, Deployment, generate_deployment, pairwise_distance,
-    distance_matrix, interior_nodes,
+    Region, Deployment, generate_deployment, distance_matrix, interior_nodes,
 )
 from .graphs import (
-    EdgeGraph, HopTable, UNREACHABLE, UNBOUNDED, build_gg, critical_radius,
-    degree1_radius, hop_distances, hop_matrix, graph_diameter, disparity,
-    is_connected, induced_subgraph,
+    EdgeGraph, UNBOUNDED, build_gg, critical_radius, degree1_radius,
+    hop_distances, hop_matrix, graph_diameter, disparity, is_connected,
+    induced_subgraph,
 )
 from .channel import (
     ChannelParams, LinkWeightTable, DEFAULT_CHANNEL, EmpiricalCDF,
@@ -28,7 +27,6 @@ from .channel import (
 )
 from .protocol import (
     ProtocolTrace, InvariantViolation, run_range_algorithm, run_discrit,
-    bidirectionalize, detect_quiescence,
 )
 from .discretize import RhoStats, rho_stats, rho_trend
 from .selforg import (
@@ -37,8 +35,8 @@ from .selforg import (
     aloha_contention_constant,
 )
 from .localize import (
-    BeaconSet, ApolloniusCurve, PositionSolverError, corner_beacons,
-    hop_ratio, apollonius_curve, estimate_position, error_pattern,
+    BeaconSet, PositionSolverError, corner_beacons, estimate_position,
+    error_pattern,
 )
 
 __version__ = "0.1.0"

@@ -124,6 +124,8 @@ class LinkWeightTable:
     def subset(self, ids) -> "LinkWeightTable":
         """Restriction to the given node ids, re-indexed by sorted order."""
         ids = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
+            raise ValueError("subset ids out of range")
         return LinkWeightTable.from_counts(self.c[np.ix_(ids, ids)], self.b[ids])
 
 

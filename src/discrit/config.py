@@ -124,10 +124,6 @@ def validate_config(doc: dict) -> dict:
     return doc
 
 
-def load_config(path) -> dict:
-    return validate_config(json.loads(Path(path).read_text()))
-
-
 def region_from_config(doc: dict) -> Region:
     reg = doc["deployment"].get("region", {})
     return Region(reg.get("width", 1000.0), reg.get("height", 1000.0))

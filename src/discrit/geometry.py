@@ -115,22 +115,13 @@ def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deploym
     return Deployment(pos, kind, region, seed)
 
 
-def pairwise_distance(dep: Deployment, i: int, j: int) -> float:
-    """Euclidean distance between nodes i and j."""
-    n = dep.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"node id out of range: ({i}, {j}) with n={n}")
-    dx = dep.positions[i, 0] - dep.positions[j, 0]
-    dy = dep.positions[i, 1] - dep.positions[j, 1]
-    return math.sqrt(dx * dx + dy * dy)
-
-
 def distance_matrix(dep: Deployment) -> np.ndarray:
     """Full (n, n) Euclidean distance matrix.
 
-    Uses the same sqrt(dx^2 + dy^2) formula as ``pairwise_distance`` so
-    scalar and matrix paths agree bit-for-bit (ties matter when a radius
-    equals a pairwise distance exactly).
+    Each entry is sqrt(dx*dx + dy*dy), evaluated elementwise, so a pair
+    gets the same bits in every matrix that holds it and from any scalar
+    evaluation of that formula (ties matter when a radius equals a
+    pairwise distance exactly).
     """
     x = dep.positions[:, 0]
     y = dep.positions[:, 1]
@@ -178,14 +169,5 @@ def deployment_to_json(dep: Deployment) -> dict:
     }
 
 
-def deployment_from_json(doc: dict) -> Deployment:
-    region = Region(doc["region"]["width"], doc["region"]["height"])
-    return Deployment(np.array(doc["positions"], dtype=np.float64), doc["kind"], region, doc["seed"])
-
-
 def save_deployment_json(dep: Deployment, path) -> None:
     Path(path).write_text(json.dumps(deployment_to_json(dep), indent=1) + "\n")
-
-
-def load_deployment_json(path) -> Deployment:
-    return deployment_from_json(json.loads(Path(path).read_text()))

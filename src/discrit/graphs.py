@@ -1,9 +1,10 @@
 """Centralised graph constructions and oracles.
 
 Geometric graphs use the closed-ball rule: edge (i, j) present iff
-d_ij <= r. Hop distances are unit-weight shortest paths; unreachable
-pairs are reported with the explicit ``UNREACHABLE`` marker, never a
-sentinel number.
+d_ij <= r. Hop distances are unit-weight shortest paths, returned as
+read-only int64 arrays in which -1 marks an unreachable pair.
+``graph_diameter`` reports a disconnected graph with the ``UNBOUNDED``
+marker.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class _Marker:
         return self._name
 
 
-UNREACHABLE = _Marker("UNREACHABLE")
 UNBOUNDED = _Marker("UNBOUNDED")
 
 
@@ -79,11 +79,7 @@ class EdgeGraph:
 
     @cached_property
     def _hops(self) -> np.ndarray:
-        dist = shortest_path(self._csr, method="D", directed=False, unweighted=True)
-        dist[np.isinf(dist)] = -1
-        hops = dist.astype(np.int64)
-        hops.setflags(write=False)
-        return hops
+        return _bfs_hops(self)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self._csr.indices, minlength=self.n)
@@ -92,53 +88,14 @@ class EdgeGraph:
         return bool(np.any((self.edges[:, 0] == min(i, j)) & (self.edges[:, 1] == max(i, j))))
 
 
-class HopTable:
-    """Per-source minimum hop counts on an EdgeGraph.
-
-    Rows are computed lazily per source (one BFS worth of memory per
-    query) and cached. ``get`` returns an int hop count or UNREACHABLE.
-    """
-
-    def __init__(self, graph: EdgeGraph, sources=()):
-        self._graph = graph
-        self._rows: dict[int, np.ndarray] = {}
-        if len(sources):
-            self._compute(list(sources))
-
-    @property
-    def n(self) -> int:
-        return self._graph.n
-
-    @property
-    def sources(self) -> list:
-        return sorted(self._rows)
-
-    def _compute(self, sources) -> None:
-        todo = [s for s in sources if s not in self._rows]
-        if not todo:
-            return
-        for s in todo:
-            if not (0 <= s < self.n):
-                raise ValueError(f"source {s} out of range for n={self.n}")
-        dist = shortest_path(self._graph._csr, method="D", directed=False, unweighted=True, indices=todo)
-        dist = np.atleast_2d(dist)
-        for k, s in enumerate(todo):
-            row = dist[k]
-            out = np.where(np.isinf(row), -1, row).astype(np.int64)
-            self._rows[s] = out
-
-    def row(self, s: int) -> np.ndarray:
-        """Hop counts from s to every node; -1 encodes unreachable.
-
-        Internal fast path for vectorised consumers; ``get`` is the
-        marker-safe accessor.
-        """
-        self._compute([s])
-        return self._rows[s]
-
-    def get(self, s: int, t: int):
-        h = self.row(s)[t]
-        return UNREACHABLE if h < 0 else int(h)
+def _bfs_hops(g: EdgeGraph, sources=None) -> np.ndarray:
+    """Read-only int64 hop counts from ``sources`` (every node if None)
+    to every node, one row per source; -1 = unreachable."""
+    dist = shortest_path(g._csr, method="D", directed=False, unweighted=True, indices=sources)
+    dist[np.isinf(dist)] = -1
+    hops = dist.astype(np.int64)
+    hops.setflags(write=False)
+    return hops
 
 
 def _gg(d: np.ndarray, r: float) -> EdgeGraph:
@@ -196,16 +153,19 @@ def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     return r1, _gg(d, r1)
 
 
-def hop_distances(g: EdgeGraph, sources) -> HopTable:
-    """Hop table with the given source rows precomputed."""
-    return HopTable(g, sources=list(sources))
+def hop_distances(g: EdgeGraph, sources) -> np.ndarray:
+    """Hop counts from each source as a (k, n) int array; -1 = unreachable."""
+    sources = np.asarray(sources, dtype=np.intp)
+    bad = sources[(sources < 0) | (sources >= g.n)]
+    if bad.size:
+        raise ValueError(f"source {bad[0]} out of range for n={g.n}")
+    return _bfs_hops(g, sources)
 
 
 def hop_matrix(g: EdgeGraph) -> np.ndarray:
     """All-pairs hop counts as an (n, n) int array; -1 = unreachable.
 
-    Bulk variant of HopTable for vectorised consumers. The matrix is
-    computed once per graph and shared, so it is read-only.
+    The matrix is computed once per graph and shared, so it is read-only.
     """
     return g._hops
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Deployment, interior_nodes
-from .graphs import EdgeGraph, HopTable, UNREACHABLE, hop_distances, is_connected
+from .graphs import EdgeGraph, hop_distances, is_connected
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,61 +59,6 @@ def corner_beacons(dep: Deployment) -> BeaconSet:
     if len(set(ids)) != 4:
         raise ValueError("corner beacons collide; deployment too sparse")
     return BeaconSet(tuple(ids), dep.positions[ids].copy())
-
-
-@dataclass(frozen=True)
-class ApolloniusCurve:
-    """Coefficients of a (x^2 + y^2) + bx x + by y + c = 0.
-
-    The locus of points whose distances to two foci have a fixed ratio;
-    degenerates to the perpendicular bisector (a = 0) at ratio 1.
-    """
-
-    a: float
-    bx: float
-    by: float
-    c: float
-
-    def __post_init__(self):
-        if self.a == 0 and self.bx == 0 and self.by == 0 and self.c == 0:
-            raise ValueError("all-zero curve")
-
-    @property
-    def is_line(self) -> bool:
-        return self.a == 0
-
-    def residual(self, x: float, y: float) -> float:
-        return self.a * (x * x + y * y) + self.bx * x + self.by * y + self.c
-
-
-def hop_ratio(h: HopTable, s: int, bi: int, bj: int) -> float:
-    """Hop-distance ratio h(s, bi) / h(s, bj)."""
-    hi = h.get(s, bi) if s != bi else 0
-    hj = h.get(s, bj) if s != bj else 0
-    if hi is UNREACHABLE or hj is UNREACHABLE:
-        raise ValueError(f"node {s} is disconnected from a beacon")
-    if hj == 0:
-        raise ValueError(f"node {s} coincides with beacon {bj}: zero hop denominator")
-    if hi == 0:
-        raise ValueError(f"node {s} coincides with beacon {bi}: zero hop ratio")
-    return hi / hj
-
-
-def apollonius_curve(bi, bj, r: float) -> ApolloniusCurve:
-    """Curve of points with distance ratio r to foci bi, bj."""
-    if r <= 0:
-        raise ValueError(f"ratio must be > 0, got {r}")
-    xi, yi = float(bi[0]), float(bi[1])
-    xj, yj = float(bj[0]), float(bj[1])
-    if xi == xj and yi == yj:
-        raise ValueError("foci must be distinct")
-    r2 = r * r
-    return ApolloniusCurve(
-        a=1.0 - r2,
-        bx=-2.0 * (xi - r2 * xj),
-        by=-2.0 * (yi - r2 * yj),
-        c=(xi * xi + yi * yi) - r2 * (xj * xj + yj * yj),
-    )
 
 
 class PositionSolverError(RuntimeError):
@@ -239,36 +184,34 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
     larger. A node whose descent stalls keeps the best iterate and is
     flagged unconverged.
     """
+    if g.n != dep.n:
+        raise ValueError(f"graph has {g.n} nodes, deployment has {dep.n}")
     if not is_connected(g):
         raise ValueError("graph must be connected for hop ratios")
     if margin is None:
         margin = 0.1 * min(dep.region.width, dep.region.height)
-    interior = set(interior_nodes(dep, margin).tolist())
-    hops = hop_distances(g, beacons.ids)
-    rows = {b: hops.row(b) for b in beacons.ids}
+    interior = np.zeros(dep.n, dtype=bool)
+    interior[interior_nodes(dep, margin)] = True
+    nodes = np.setdiff1d(np.arange(dep.n), beacons.ids)
+    hops = hop_distances(g, beacons.ids)[:, nodes]
     pairs = beacons.pairs()
+    pi, pj = np.array(pairs).T
+    # Many nodes share a ratio vector; each distinct one is solved once.
+    vectors, which = np.unique((hops[pi] / hops[pj]).T, axis=0, return_inverse=True)
+    fits = []
+    for vec in vectors:
+        try:
+            fits.append((estimate_position(beacons, dict(zip(pairs, vec.tolist())))[:2], True))
+        except PositionSolverError as exc:
+            fits.append((exc.best, False))
     records = []
-    solved = {}  # sorted ratio items -> ((x, y), converged); many nodes share a vector
-    for s in range(dep.n):
-        if s in beacons.ids:
-            continue
-        ratios = {}
-        for i, j in pairs:
-            hi = rows[beacons.ids[i]][s]
-            hj = rows[beacons.ids[j]][s]
-            ratios[(i, j)] = hi / hj
-        key = tuple(sorted(ratios.items()))
-        if key not in solved:
-            try:
-                solved[key] = estimate_position(beacons, ratios)[:2], True
-            except PositionSolverError as exc:
-                solved[key] = exc.best, False
-        (x, y), converged = solved[key]
+    for s, v in zip(nodes.tolist(), which.tolist()):
+        (x, y), converged = fits[v]
         xt, yt = dep.positions[s]
         records.append(NodeEstimate(
             node=s, x_true=float(xt), y_true=float(yt), x_est=x, y_est=y,
             error=math.hypot(x - xt, y - yt),
-            interior=s in interior, converged=converged,
+            interior=bool(interior[s]), converged=converged,
         ))
     errors = np.array([r.error for r in records])
     interior_errors = np.array([r.error for r in records if r.interior])

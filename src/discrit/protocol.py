@@ -53,36 +53,13 @@ class ProtocolTrace:
     termination: str
     thresholds: list = field(default_factory=list)
     degrees: list = field(default_factory=list)
-    changed: list = field(default_factory=list)
-    received: list = field(default_factory=list)
     messages_per_round: list = field(default_factory=list)
     iterations: int = 0
     rounds: int = 0
     messages: int = 0
 
-    @property
-    def n(self) -> int:
-        return len(self.thresholds[0])
-
     def final_thresholds(self) -> np.ndarray:
         return self.thresholds[-1]
-
-
-def detect_quiescence(trace: ProtocolTrace, timeout_rounds: int) -> bool:
-    """True iff every node has been quiet for the last timeout_rounds rounds.
-
-    Quiet means no threshold change and no incoming message. This is the
-    local time-out termination rule; it agrees with the centralised
-    no-change condition because a change anywhere produces a message.
-    """
-    if timeout_rounds < 1:
-        raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
-    if trace.rounds < timeout_rounds:
-        return False
-    for k in range(trace.rounds - timeout_rounds, trace.rounds):
-        if trace.changed[k].any() or trace.received[k].any():
-            return False
-    return True
 
 
 def _check_round_invariants(prev, new, initial_set, kmax, mode):
@@ -149,8 +126,6 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
         member = s <= new_thr[:, None]
         trace.thresholds.append(natural(new_thr))
         trace.degrees.append(member.sum(axis=1) - 1)
-        trace.changed.append(changed)
-        trace.received.append(received)
         trace.messages_per_round.append(msgs)
         trace.messages += msgs
         if changed.any():
@@ -200,23 +175,6 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
                          "cannot initialise its p-threshold")
     return _run_minmax(-p.T, "discrit", lambda t: -t, termination,
                        timeout_rounds, suppress)
-
-
-def bidirectionalize(adjacency) -> EdgeGraph:
-    """Union a directed adjacency (id -> id set) into an undirected graph.
-
-    Edge (i, j) is present iff j in N(i) or i in N(j); self-loops are
-    dropped. ``adjacency`` is a sequence or dict covering ids 0..n-1.
-    """
-    n = len(adjacency)
-    sets = [adjacency[i] for i in range(n)] if isinstance(adjacency, dict) else list(adjacency)
-    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in sets])
-    dst = np.fromiter((int(j) for nbrs in sets for j in nbrs), dtype=np.intp, count=src.size)
-    bad = np.flatnonzero((dst < 0) | (dst >= n))
-    if bad.size:
-        raise ValueError(f"adjacency of {src[bad[0]]} references out-of-range id {dst[bad[0]]}")
-    keep = src != dst
-    return EdgeGraph(n, np.column_stack([src[keep], dst[keep]]))
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:

@@ -189,6 +189,8 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
+    if g_base.n != dep.n:
+        raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
     hops = hop_matrix(g_base)

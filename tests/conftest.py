@@ -2,7 +2,9 @@ import csv
 import functools
 import itertools
 import json
+import math
 from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,60 @@ def degree1_connected_share(n, seeds, torus=False):
     hits = sum(kdtree_degree1(generate_deployment("uniform-iid", n, region, s).positions, box)[2]
                for s in seeds)
     return hits / len(seeds)
+
+
+def pairwise_distance(dep, i, j):
+    """Euclidean distance between nodes i and j, one pair at a time: the
+    scalar oracle for ``distance_matrix``, which must agree bit for bit."""
+    n = dep.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"node id out of range: ({i}, {j}) with n={n}")
+    dx = dep.positions[i, 0] - dep.positions[j, 0]
+    dy = dep.positions[i, 1] - dep.positions[j, 1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+@dataclass(frozen=True)
+class ApolloniusCurve:
+    """Coefficients of a (x^2 + y^2) + bx x + by y + c = 0.
+
+    The locus of points whose distances to two foci have a fixed ratio;
+    degenerates to the perpendicular bisector (a = 0) at ratio 1. The
+    scalar oracle for ``localize._residuals``.
+    """
+
+    a: float
+    bx: float
+    by: float
+    c: float
+
+    def __post_init__(self):
+        if self.a == 0 and self.bx == 0 and self.by == 0 and self.c == 0:
+            raise ValueError("all-zero curve")
+
+    @property
+    def is_line(self) -> bool:
+        return self.a == 0
+
+    def residual(self, x: float, y: float) -> float:
+        return self.a * (x * x + y * y) + self.bx * x + self.by * y + self.c
+
+
+def apollonius_curve(bi, bj, r: float) -> ApolloniusCurve:
+    """Curve of points with distance ratio r to foci bi, bj."""
+    if r <= 0:
+        raise ValueError(f"ratio must be > 0, got {r}")
+    xi, yi = float(bi[0]), float(bi[1])
+    xj, yj = float(bj[0]), float(bj[1])
+    if xi == xj and yi == yj:
+        raise ValueError("foci must be distinct")
+    r2 = r * r
+    return ApolloniusCurve(
+        a=1.0 - r2,
+        bx=-2.0 * (xi - r2 * xj),
+        by=-2.0 * (yi - r2 * yj),
+        c=(xi * xi + yi * yi) - r2 * (xj * xj + yj * yj),
+    )
 
 
 @pytest.fixture

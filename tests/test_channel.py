@@ -307,3 +307,10 @@ def test_link_weight_subset_and_io(tmp_path):
     assert np.array_equal(back.c, table.c)
     assert np.array_equal(back.b, table.b)
     assert np.array_equal(back.p_hat, table.p_hat)
+
+
+def test_link_weight_subset_rejects_out_of_range_ids():
+    table = LinkWeightTable.from_counts([[0, 1, 2], [3, 0, 4], [5, 6, 0]], [10, 10, 10])
+    for ids in ([-1, 0], [0, 7]):
+        with pytest.raises(ValueError, match="subset ids out of range"):
+            table.subset(ids)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairwise_distance
 from discrit.geometry import (
-    Deployment, Region, deployment_from_json, deployment_to_json,
-    distance_matrix, generate_deployment, interior_nodes, load_positions_csv,
-    pairwise_distance, save_positions_csv,
+    Deployment, Region, deployment_to_json, distance_matrix, generate_deployment,
+    interior_nodes, load_positions_csv, save_positions_csv,
 )
 
 
@@ -70,14 +70,6 @@ def test_generate_errors(unit_region):
         generate_deployment("poisson", 10, unit_region, seed=0)
 
 
-def test_pairwise_distance_345(unit_region):
-    dep = Deployment(np.array([[0.0, 0.0], [3.0, 4.0]]), "uniform-iid", Region(10, 10), 0)
-    assert pairwise_distance(dep, 0, 1) == 5.0
-    assert pairwise_distance(dep, 0, 0) == 0.0
-    with pytest.raises(ValueError):
-        pairwise_distance(dep, 0, 2)
-
-
 def test_distance_matrix_matches_scalar(km_region):
     dep = generate_deployment("uniform-iid", 40, km_region, seed=3)
     d = distance_matrix(dep)
@@ -130,7 +122,8 @@ def test_csv_roundtrip(tmp_path, km_region):
 
 def test_json_roundtrip(km_region):
     dep = generate_deployment("randomised-lattice", 30, km_region, seed=8)
-    back = deployment_from_json(json.loads(json.dumps(deployment_to_json(dep))))
+    doc = json.loads(json.dumps(deployment_to_json(dep)))
+    back = Deployment(np.array(doc["positions"]), doc["kind"], Region(**doc["region"]), doc["seed"])
     assert np.array_equal(back.positions, dep.positions)
     assert back.kind == dep.kind and back.seed == dep.seed
     assert back.region == dep.region

@@ -11,7 +11,7 @@ from conftest import (
 )
 from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
-    EdgeGraph, UNBOUNDED, UNREACHABLE, build_gg, component_labels, critical_radius,
+    EdgeGraph, UNBOUNDED, build_gg, component_labels, critical_radius,
     degree1_radius, disparity, graph_diameter, hop_distances, hop_matrix,
     induced_subgraph, is_connected, load_graph, save_graph,
 )
@@ -181,15 +181,20 @@ def test_hop_matrix_is_computed_once_and_read_only():
 
 def test_hop_distances_examples():
     g = path_graph(4)
-    table = hop_distances(g, [0])
-    assert table.get(0, 3) == 3
-    assert table.get(0, 0) == 0
-    # lazy row for a source not precomputed
-    assert table.get(2, 0) == 2
+    rows = hop_distances(g, [0, 2])
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [[0, 1, 2, 3], [2, 1, 0, 1]]
+    with pytest.raises(ValueError):
+        rows[0, 1] = 7
+    with pytest.raises(ValueError, match="source 4 out of range for n=4"):
+        hop_distances(g, [0, 4])
+    with pytest.raises(ValueError, match="source -1 out of range for n=4"):
+        hop_distances(g, [-1])
 
     dep = line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0)
     _, g1 = degree1_radius(dep)
-    assert hop_distances(g1, [0]).get(0, 2) is UNREACHABLE
+    assert hop_distances(g1, [0]).tolist() == [[0, 1, -1, -1]]
+    assert np.array_equal(hop_distances(g1, range(4)), hop_matrix(g1))
 
 
 def test_hop_table_symmetry_triangle():

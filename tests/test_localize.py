@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import apollonius_curve
 from discrit.geometry import Region, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, hop_distances
 from discrit import localize
 from discrit.localize import (
-    BeaconSet, PositionSolverError, apollonius_curve, corner_beacons, error_pattern,
-    estimate_position, hop_ratio, save_error_pattern_csv,
+    BeaconSet, PositionSolverError, _residuals, corner_beacons, error_pattern,
+    estimate_position, save_error_pattern_csv,
 )
 
 
@@ -31,22 +32,6 @@ def test_beacon_set_validation():
         BeaconSet((0, 1, 2, 2), np.array([(0, 0), (1, 0), (0, 1), (1, 1)]))
     with pytest.raises(ValueError):
         BeaconSet((0, 1, 2, 3), np.array([(0, 0), (1, 0), (0, 1), (0, 1)]))
-
-
-def test_hop_ratio_examples():
-    g = EdgeGraph(5, frozenset((i, i + 1) for i in range(4)))
-    table = hop_distances(g, [0, 4])
-    assert hop_ratio(table, 2, 0, 4) == 1.0
-    assert hop_ratio(table, 2, 0, 4) == pytest.approx(hop_ratio(table, 2, 4, 0))
-    assert hop_ratio(table, 1, 0, 4) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        hop_ratio(table, 0, 0, 4)  # zero numerator hop
-    with pytest.raises(ValueError):
-        hop_ratio(table, 4, 0, 4)  # zero denominator hop
-    split = EdgeGraph(4, frozenset([(0, 1), (2, 3)]))
-    t2 = hop_distances(split, [0])
-    with pytest.raises(ValueError):
-        hop_ratio(t2, 2, 0, 3)
 
 
 def test_apollonius_bisector_line():
@@ -82,6 +67,28 @@ def test_residual_zero_at_true_point(x, y):
         curve = apollonius_curve(beacons.coords[i], beacons.coords[j], r)
         scale = max(abs(curve.a), abs(curve.bx), abs(curve.by), abs(curve.c))
         assert abs(curve.residual(x, y)) <= 1e-9 * scale
+
+
+coord = st.floats(-1000, 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coord, coord, coord, coord, coord, coord,
+       st.one_of(st.just(1.0), st.floats(0.05, 20)))
+@example(0.0, 0.0, 2.0, 0.0, 1.0, 3.0, 1.0)
+@example(0.0, 0.0, 2.0, 0.0, 0.3, -0.7, 0.5)
+def test_residuals_match_expanded_curve(xi, yi, xj, yj, x, y, r):
+    # the solver's factored residual, times its (1 + r^2) normalisation,
+    # is the expanded Apollonius polynomial up to rounding
+    assume((xi, yi) != (xj, yj))
+    curve = apollonius_curve((xi, yi), (xj, yj), r)
+    r2 = r * r
+    got = _residuals(np.array([x, y]), np.array([[xi, yi]]), np.array([[xj, yj]]),
+                     np.array([1.0 + r2]), np.array([r2]))[0] * (1.0 + r2)
+    # scale bounds every monomial of both forms, so the tolerance is
+    # relative; subnormal results round in absolute steps, hence the floor
+    scale = (1.0 + r2) * (x * x + y * y + xi * xi + yi * yi + xj * xj + yj * yj)
+    assert abs(got - curve.residual(x, y)) <= 1e-14 * scale + 1e-300
 
 
 def test_estimate_exact_ratios_recovers_position():
@@ -167,8 +174,7 @@ def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
     hops = hop_distances(cgg, beacons.ids)
     shared_stalls = {}
     for r in pattern.records:
-        ratios = {(i, j): hop_ratio(hops, r.node, beacons.ids[i], beacons.ids[j])
-                  for i, j in beacons.pairs()}
+        ratios = {(i, j): hops[i, r.node] / hops[j, r.node] for i, j in beacons.pairs()}
         try:
             expected = estimate_position(beacons, ratios)[:2], True
         except PositionSolverError as exc:
@@ -177,6 +183,14 @@ def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
             shared_stalls[key] = shared_stalls.get(key, 0) + 1
         assert ((r.x_est, r.y_est), r.converged) == expected
     assert max(shared_stalls.values()) >= 2
+
+
+def test_error_pattern_rejects_node_count_mismatch():
+    region = Region(1000, 1000)
+    _, cgg = critical_radius(generate_deployment("uniform-iid", 200, region, 0))
+    dep = generate_deployment("uniform-iid", 150, region, 0)
+    with pytest.raises(ValueError, match="graph has 200 nodes, deployment has 150"):
+        error_pattern(dep, corner_beacons(dep), cgg)
 
 
 def test_error_pattern_needs_connected_graph():

@@ -123,6 +123,14 @@ def test_disconnected_base_graph_rejected():
         simulate_transport_capacity(dep, g1, 1, P, seed=0)
 
 
+def test_find_h_opt_rejects_node_count_mismatch():
+    region = Region(1000, 1000)
+    _, g = critical_radius(generate_deployment("uniform-iid", 200, region, 0))
+    dep = generate_deployment("uniform-iid", 300, region, 0)
+    with pytest.raises(ValueError, match="graph has 200 nodes, deployment has 300"):
+        find_h_opt(dep, g, P, 2, seed=0)
+
+
 def test_two_node_aloha_closed_form():
     dep = line_deployment([100.0, 200.0], side=1000.0)
     g = path_graph(2)
