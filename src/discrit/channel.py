@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix
+from .geometry import Deployment, distance_matrix, subset_ids
 
 FADING_KINDS = ("deterministic", "rayleigh-power")
 
@@ -105,7 +105,7 @@ class LinkWeightTable:
             raise ValueError("self counts must be zero")
         if np.any(c < 0) or np.any(b < 0) or np.any(c > b[:, None]):
             raise ValueError("need 0 <= c[i, j] <= b[i]")
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
             raise ValueError("p_hat must lie in [0, 1]")
         self.c, self.b, self.p_hat = c, b, p
 
@@ -123,9 +123,7 @@ class LinkWeightTable:
 
     def subset(self, ids) -> "LinkWeightTable":
         """Restriction to the given node ids, re-indexed by sorted order."""
-        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-            raise ValueError("subset ids out of range")
+        ids = subset_ids(ids, self.n)
         return LinkWeightTable.from_counts(self.c[np.ix_(ids, ids)], self.b[ids])
 
 

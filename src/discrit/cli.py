@@ -112,13 +112,13 @@ class _SeedRun:
         trace_to_csv(trace, trace_path)
         self.artifacts.append(trace_path)
 
-    def _interior_protocol(self, ids):
+    def _interior_protocol(self, ids, sub):
         # Filter after weight computation: interior nodes keep the
         # full-deployment Hello weights, restricted to interior pairs.
         if _protocol_mode(self.doc) == "discrit":
             graph, _ = run_discrit(self.weights.subset(ids))
         else:
-            graph, _ = run_range_algorithm(self.dep.subset(ids))
+            graph, _ = run_range_algorithm(sub)
         return graph
 
     def eval(self):
@@ -137,7 +137,7 @@ class _SeedRun:
         ids = interior_nodes(self.dep, margin)
         if ids.size >= 2:
             sub = self.dep.subset(ids)
-            proto_i = self._interior_protocol(ids)
+            proto_i = self._interior_protocol(ids, sub)
             for name, ref in (("critical", critical_radius(sub)[1]),
                               ("degree1", degree1_radius(sub)[1])):
                 rows.append([self.seed, kind, "interior", "protocol", name,

@@ -73,10 +73,20 @@ class Deployment:
 
     def subset(self, ids) -> "Deployment":
         """Sub-deployment over the given node ids (re-indexed 0..k-1)."""
-        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-            raise ValueError("subset ids out of range")
+        ids = subset_ids(ids, self.n)
         return Deployment(self.positions[ids].copy(), self.kind, self.region, self.seed)
+
+
+def subset_ids(ids, n: int) -> np.ndarray:
+    """The node ids of a subset of 0..n-1 in ascending order; raises
+    ValueError on an id out of range or given twice."""
+    ids = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        raise ValueError(f"subset ids out of range for n={n}")
+    dup = np.flatnonzero(ids[1:] == ids[:-1])
+    if dup.size:
+        raise ValueError(f"subset id {ids[dup[0]]} given twice")
+    return ids
 
 
 def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deployment:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .geometry import Deployment, distance_matrix
+from .geometry import Deployment, distance_matrix, subset_ids
 
 
 class _Marker:
@@ -189,9 +189,7 @@ def disparity(ga: EdgeGraph, gb: EdgeGraph) -> float:
 
 def induced_subgraph(g: EdgeGraph, ids) -> EdgeGraph:
     """Subgraph on ``ids``, re-indexed by the sorted order of ids."""
-    ids = np.sort(np.asarray(ids, dtype=np.intp))
-    if ids.size and (ids[0] < 0 or ids[-1] >= g.n):
-        raise ValueError(f"ids out of range for n={g.n}")
+    ids = subset_ids(ids, g.n)
     remap = np.full(g.n, -1, dtype=np.intp)
     remap[ids] = np.arange(ids.size)
     sub = remap[g.edges]

@@ -12,18 +12,20 @@ Two modes share one engine:
 
 Weight mode runs on negated weights, which turns it into distance mode
 exactly, so the engine is written once in "lower key = closer" terms.
-Self membership in the adjacent set is maintained internally (it makes
-the per-node threshold monotone) and stripped from the output graph;
-self entries are not counted as messages.
+A node's own threshold always takes part in its update, which keeps it
+monotone; self is never an edge and never counted as a message.
 
-The engine checks three invariants every round and raises
-InvariantViolation on the first breach: thresholds are always copies of
-initial values, never exceed the network-wide extreme, and are absorbed
-once they reach it.
+Every round the engine checks that thresholds are copies of initial
+values, never exceed the network-wide extreme kmax, and are absorbed
+once they reach it, and raises InvariantViolation on the first breach.
+So no node ever admits a neighbour whose key exceeds kmax: the engine
+lists the directed pairs with key <= kmax once, and each round is a
+mask over that list, with no (n, n) array.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +79,9 @@ def _check_round_invariants(prev, new, initial_set, kmax, mode):
 
 
 def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
-    """Engine core. ``score`` is an (n, n) key matrix, lower = closer.
-
-    score[i, j] is the key node i holds for node j; the diagonal is
-    ignored (self is always adjacent). ``natural`` maps engine keys back
-    to the mode's reported units.
-    """
+    """Engine core. ``score[i, j]`` is the key node i holds for node j,
+    lower = closer; the diagonal is ignored. ``natural`` maps engine keys
+    back to the mode's reported units."""
     if termination not in ("centralized", "distributed"):
         raise ValueError(f"unknown termination mode {termination!r}")
     if termination == "distributed":
@@ -95,18 +94,20 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
     s = np.array(score, dtype=np.float64)
     np.fill_diagonal(s, np.inf)
     thr = s.min(axis=1)
-    np.fill_diagonal(s, -np.inf)  # self always passes the adjacency test
     initial_set = set(thr.tolist())
     kmax = thr.max()
+    # Directed candidate pairs (holder src, neighbour dst); the inf diagonal keeps out self.
+    src, dst = np.nonzero(s <= kmax)
+    key = s[src, dst]
+    del s
 
-    member = s <= thr[:, None]
+    live = key <= thr[src]  # live[k]: dst[k] is in src[k]'s adjacent set
     trace = ProtocolTrace(mode=mode, termination=termination)
     trace.thresholds.append(natural(thr))
-    trace.degrees.append(member.sum(axis=1) - 1)
+    trace.degrees.append(np.bincount(src[live], minlength=n))
 
     sender = np.ones(n, dtype=bool)  # first round: every node announces
     quiet = np.zeros(n, dtype=np.int64)
-    not_self = ~np.eye(n, dtype=bool)
     max_rounds = n * n + timeout_rounds + 2
 
     while True:
@@ -114,18 +115,16 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
         if trace.rounds > max_rounds:
             raise InvariantViolation(f"{mode}: no termination after {max_rounds} rounds")
 
-        deliver = member & sender[:, None]  # deliver[j, i]: i hears thr[j]
-        msgs = int((member[sender].sum(axis=1) - 1).sum()) if sender.any() else 0
-        received = (deliver & not_self).any(axis=0)
-
-        cand = np.where(deliver, thr[:, None], -np.inf).max(axis=0)
-        new_thr = np.maximum(thr, cand)  # own threshold always participates
+        deliver = live & sender[src]  # dst[k] hears thr[src[k]]
+        msgs = int(deliver.sum())
+        new_thr = thr.copy()  # own threshold always participates
+        np.maximum.at(new_thr, dst[deliver], thr[src[deliver]])
         changed = new_thr != thr
         _check_round_invariants(thr, new_thr, initial_set, kmax, mode)
 
-        member = s <= new_thr[:, None]
+        live = key <= new_thr[src]
         trace.thresholds.append(natural(new_thr))
-        trace.degrees.append(member.sum(axis=1) - 1)
+        trace.degrees.append(np.bincount(src[live], minlength=n))
         trace.messages_per_round.append(msgs)
         trace.messages += msgs
         if changed.any():
@@ -135,6 +134,7 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
             if not changed.any():
                 break
         else:
+            received = np.bincount(dst[deliver], minlength=n) > 0
             quiet = np.where(changed | received, 0, quiet + 1)
             if np.all(quiet >= timeout_rounds):
                 break
@@ -142,7 +142,7 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
         sender = changed if suppress else np.ones(n, dtype=bool)
         thr = new_thr
 
-    return EdgeGraph(n, np.argwhere(np.triu(member | member.T, 1))), trace
+    return EdgeGraph(n, np.column_stack([src[live], dst[live]])), trace
 
 
 def run_range_algorithm(dep: Deployment, *, termination="centralized",
@@ -178,9 +178,8 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:
-    """Write per-round state as ``iteration,node,threshold,degree`` rows."""
-    import csv
-
+    """Write per-round state as ``iteration,node,threshold,degree`` rows;
+    ``iteration`` is the snapshot index, 0 being the initial state."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "node", "threshold", "degree"])

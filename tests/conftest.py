@@ -19,7 +19,10 @@ from discrit.channel import (
 )
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph
-from discrit.protocol import run_discrit, run_range_algorithm
+from discrit.protocol import (
+    InvariantViolation, ProtocolTrace, _check_round_invariants, run_discrit,
+    run_range_algorithm,
+)
 from discrit.selforg import link_rate
 
 
@@ -210,6 +213,77 @@ def reference_bidirectionalize(adjacency):
     return SetGraph(n, frozenset(edges))
 
 
+def reference_minmax(score, mode, natural, termination, timeout_rounds, suppress):
+    """``protocol._run_minmax`` as it was: dense (n, n) membership,
+    delivery and candidate arrays rebuilt every round. ``score`` is an
+    (n, n) key matrix, lower = closer.
+
+    score[i, j] is the key node i holds for node j; the diagonal is
+    ignored (self is always adjacent). ``natural`` maps engine keys back
+    to the mode's reported units.
+    """
+    if termination not in ("centralized", "distributed"):
+        raise ValueError(f"unknown termination mode {termination!r}")
+    if termination == "distributed":
+        if timeout_rounds < 1:
+            raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
+        if not suppress:
+            raise ValueError("distributed termination needs message suppression; "
+                             "without it messages never cease")
+    n = score.shape[0]
+    s = np.array(score, dtype=np.float64)
+    np.fill_diagonal(s, np.inf)
+    thr = s.min(axis=1)
+    np.fill_diagonal(s, -np.inf)  # self always passes the adjacency test
+    initial_set = set(thr.tolist())
+    kmax = thr.max()
+
+    member = s <= thr[:, None]
+    trace = ProtocolTrace(mode=mode, termination=termination)
+    trace.thresholds.append(natural(thr))
+    trace.degrees.append(member.sum(axis=1) - 1)
+
+    sender = np.ones(n, dtype=bool)  # first round: every node announces
+    quiet = np.zeros(n, dtype=np.int64)
+    not_self = ~np.eye(n, dtype=bool)
+    max_rounds = n * n + timeout_rounds + 2
+
+    while True:
+        trace.rounds += 1
+        if trace.rounds > max_rounds:
+            raise InvariantViolation(f"{mode}: no termination after {max_rounds} rounds")
+
+        deliver = member & sender[:, None]  # deliver[j, i]: i hears thr[j]
+        msgs = int((member[sender].sum(axis=1) - 1).sum()) if sender.any() else 0
+        received = (deliver & not_self).any(axis=0)
+
+        cand = np.where(deliver, thr[:, None], -np.inf).max(axis=0)
+        new_thr = np.maximum(thr, cand)  # own threshold always participates
+        changed = new_thr != thr
+        _check_round_invariants(thr, new_thr, initial_set, kmax, mode)
+
+        member = s <= new_thr[:, None]
+        trace.thresholds.append(natural(new_thr))
+        trace.degrees.append(member.sum(axis=1) - 1)
+        trace.messages_per_round.append(msgs)
+        trace.messages += msgs
+        if changed.any():
+            trace.iterations += 1
+
+        if termination == "centralized":
+            if not changed.any():
+                break
+        else:
+            quiet = np.where(changed | received, 0, quiet + 1)
+            if np.all(quiet >= timeout_rounds):
+                break
+
+        sender = changed if suppress else np.ones(n, dtype=bool)
+        thr = new_thr
+
+    return EdgeGraph(n, np.argwhere(np.triu(member | member.T, 1))), trace
+
+
 def reference_induced_subgraph(g, ids):
     """``induced_subgraph`` as it was, with a dict remap."""
     ids = sorted(int(i) for i in ids)
@@ -282,26 +356,39 @@ def reference_simulate_psi(dist, adj, p, seed):
 
 
 @functools.lru_cache(maxsize=None)
-def edge_format_cases():
-    """Protocol runs the array-edge code is checked on against the oracles
-    above: uniform-iid n=1000 seeds 0-2, a 32 x 32 grid (exact distance
-    ties) and a randomised lattice in distance mode, and weight mode on
-    the criterion-8 Hello weights of uniform-iid seed 0.
-
-    Each case is ``(label, dep, graph, member)``, where ``member[i]`` is
-    node i's adjacent set rebuilt from the run's final thresholds.
-    """
+def edge_format_deployments():
+    """``(label, dep)`` for uniform-iid n=1000 seeds 0-2, a 32 x 32 grid
+    (exact distance ties) and a randomised lattice."""
     km = Region(1000.0, 1000.0)
     deps = [(f"uniform-seed{s}", generate_deployment("uniform-iid", 1000, km, s)) for s in range(3)]
     deps += [("grid-32x32", generate_deployment("grid", 1024, km, 0)),
              ("randomised-lattice", generate_deployment("randomised-lattice", 1000, km, 0))]
+    return deps
+
+
+@functools.lru_cache(maxsize=None)
+def hello_seed0_weights():
+    """The criterion-8 Hello weights of uniform-iid n=1000 seed 0."""
+    dep = edge_format_deployments()[0][1]
+    hello = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=5000)
+    return simulate_hello(dep, hello, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_format_cases():
+    """Protocol runs the array-edge code is checked on against the oracles
+    above: the ``edge_format_deployments`` in distance mode, and weight
+    mode on ``hello_seed0_weights``.
+
+    Each case is ``(label, dep, graph, member)``, where ``member[i]`` is
+    node i's adjacent set rebuilt from the run's final thresholds.
+    """
     cases = []
-    for label, dep in deps:
+    for label, dep in edge_format_deployments():
         g, trace = run_range_algorithm(dep)
         cases.append((label, dep, g, distance_matrix(dep) <= trace.final_thresholds()[:, None]))
-    dep = deps[0][1]
-    hello = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=5000)
-    weights = simulate_hello(dep, hello, 0)
+    dep = edge_format_deployments()[0][1]
+    weights = hello_seed0_weights()
     g, trace = run_discrit(weights)
     cases.append(("hello-seed0-weights", dep, g, weights.p_hat.T >= trace.final_thresholds()[:, None]))
     return cases

@@ -295,6 +295,16 @@ def test_link_weight_table_validation():
     assert t.p_hat[0, 1] == 0.5 and t.p_hat[1, 0] == 0.5
 
 
+def test_link_weight_table_rejects_nan_weights():
+    # NaN compares False both ways, so it must not slip past the range check
+    # and reach the engine, which used to blame itself for it.
+    p = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, np.nan], [0.5, 0.5, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        p[1, 2] = bad
+        with pytest.raises(ValueError, match=r"p_hat must lie in \[0, 1\]"):
+            LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), p)
+
+
 def test_link_weight_subset_and_io(tmp_path):
     dep = generate_deployment("uniform-iid", 12, Region(200, 200), 6)
     table = simulate_hello(dep, ChannelParams(0.05, 4.0, 1e-10, 4.0, 0.3, slots=300), 6)
@@ -314,3 +324,9 @@ def test_link_weight_subset_rejects_out_of_range_ids():
     for ids in ([-1, 0], [0, 7]):
         with pytest.raises(ValueError, match="subset ids out of range"):
             table.subset(ids)
+
+
+def test_link_weight_subset_rejects_duplicate_ids():
+    table = LinkWeightTable.from_counts([[0, 1, 2], [3, 0, 4], [5, 6, 0]], [10, 10, 10])
+    with pytest.raises(ValueError, match="subset id 0 given twice"):
+        table.subset([0, 0, 1])

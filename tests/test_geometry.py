@@ -136,6 +136,14 @@ def test_subset_reindexes(km_region):
     assert np.array_equal(sub.positions, dep.positions[[2, 5, 9]])
 
 
+def test_subset_rejects_duplicate_and_out_of_range_ids(km_region):
+    dep = generate_deployment("uniform-iid", 20, km_region, seed=1)
+    with pytest.raises(ValueError, match="subset id 5 given twice"):
+        dep.subset([5, 2, 5])
+    with pytest.raises(ValueError, match="subset ids out of range for n=20"):
+        dep.subset([2, 20])
+
+
 def test_deployment_validation(unit_region):
     with pytest.raises(ValueError):
         Deployment(np.array([[0.5, 1.5], [0.2, 0.2]]), "uniform-iid", unit_region, 0)

@@ -259,6 +259,14 @@ def test_induced_subgraph():
         induced_subgraph(g, [1, 5])
 
 
+def test_induced_subgraph_rejects_duplicate_ids():
+    # [0, 0, 1] on the path 0-1-2 used to give a phantom isolated node 0
+    # and the edge (1, 2), which joins node 0 to itself.
+    path = EdgeGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="subset id 0 given twice"):
+        induced_subgraph(path, [0, 0, 1])
+
+
 def test_graph_io_roundtrip(tmp_path):
     dep = generate_deployment("uniform-iid", 25, Region(100, 100), 3)
     _, g = critical_radius(dep)

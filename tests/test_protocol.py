@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    edge_format_cases, edge_set, line_deployment, reference_bidirectionalize,
+    edge_format_cases, edge_format_deployments, edge_set, hello_seed0_weights,
+    line_deployment, reference_bidirectionalize, reference_minmax,
 )
 from discrit.channel import LinkWeightTable
 from discrit.geometry import Region, distance_matrix, generate_deployment
@@ -191,6 +192,39 @@ def test_protocol_graph_matches_bidirectionalize_reference():
         ref = reference_bidirectionalize(adjacency)
         assert g.n == ref.n
         assert edge_set(g) == ref.edges, label
+
+
+def assert_same_run(got, want, label):
+    (g, t), (rg, rt) = got, want
+    assert g.n == rg.n and np.array_equal(g.edges, rg.edges), label
+    for name in ("mode", "termination", "messages_per_round", "rounds", "iterations", "messages"):
+        assert getattr(t, name) == getattr(rt, name), (label, name)
+    for name in ("thresholds", "degrees"):
+        snaps, ref = getattr(t, name), getattr(rt, name)
+        assert len(snaps) == len(ref), (label, name)
+        for k, (a, b) in enumerate(zip(snaps, ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name, k)
+
+
+@pytest.mark.parametrize("termination, timeout_rounds, suppress", [
+    pytest.param("centralized", 1, True, id="centralized"),
+    pytest.param("centralized", 1, False, id="centralized-nosuppress"),
+    pytest.param("distributed", 1, True, id="distributed-timeout1"),
+    pytest.param("distributed", 2, True, id="distributed-timeout2"),
+])
+def test_engine_matches_dense_reference(termination, timeout_rounds, suppress):
+    # The candidate-pair engine against the dense engine it replaced:
+    # every snapshot, message count and edge must be identical.
+    options = dict(termination=termination, timeout_rounds=timeout_rounds, suppress=suppress)
+    deps = list(edge_format_deployments())
+    deps += [("two-nodes", line_deployment([2.0, 7.0], side=10.0)),
+             ("collinear-0156", line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0))]
+    for label, dep in deps:
+        want = reference_minmax(distance_matrix(dep), "distance", lambda t: t.copy(), **options)
+        assert_same_run(run_range_algorithm(dep, **options), want, label)
+    weights = hello_seed0_weights()
+    want = reference_minmax(-weights.p_hat.T, "discrit", lambda t: -t, **options)
+    assert_same_run(run_discrit(weights, **options), want, "hello-seed0-weights")
 
 
 def test_trace_csv(tmp_path):
