@@ -56,6 +56,8 @@ class Deployment:
             raise ValueError(f"a deployment needs at least 2 nodes, got {pos.shape[0]}")
         if self.kind not in DEPLOYMENT_KINDS:
             raise ValueError(f"unknown deployment kind {self.kind!r}")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         w, h = self.region.width, self.region.height
         x, y = pos[:, 0], pos[:, 1]
         if np.any(x < 0) or np.any(x > w) or np.any(y < 0) or np.any(y > h):

@@ -30,8 +30,8 @@ class BeaconSet:
         ids = tuple(int(i) for i in self.ids)
         if len(ids) < 4:
             raise ValueError(f"need at least 4 beacons, got {len(ids)}")
-        if coords.shape != (len(ids), 2):
-            raise ValueError("coords must be (n_beacons, 2)")
+        if coords.shape != (len(ids), 2) or not np.isfinite(coords).all():
+            raise ValueError("coords must be a finite (n_beacons, 2) array")
         if len(set(ids)) != len(ids):
             raise ValueError("beacon ids must be distinct")
         if len({(x, y) for x, y in coords.tolist()}) != len(ids):
@@ -74,40 +74,59 @@ MAX_SOLVER_ITERATIONS = 80
 
 
 def _residuals(point, foci_i, foci_j, norm, r2):
-    # |p - bi|^2 - r^2 |p - bj|^2, evaluated in factored form for
-    # numerical stability; algebraically identical to the expanded
-    # curve coefficients. Normalised by (1 + r^2) per pair.
-    di = point - foci_i
-    dj = point - foci_j
-    return ((di * di).sum(axis=1) - r2 * (dj * dj).sum(axis=1)) / norm
+    # |p - bi|^2 - r^2 |p - bj|^2 over the last (pair) axis, evaluated in
+    # factored form for numerical stability; algebraically identical to the
+    # expanded curve coefficients. Normalised by (1 + r^2) per pair.
+    di = point[..., None, :] - foci_i
+    dj = point[..., None, :] - foci_j
+    return ((di * di).sum(axis=-1) - r2 * (dj * dj).sum(axis=-1)) / norm
 
 
-def _gauss_newton(start, foci_i, foci_j, norm, r2, scale):
-    point = np.array(start, dtype=np.float64)
-    step = 1e-6 * scale
-    obj = float((_residuals(point, foci_i, foci_j, norm, r2) ** 2).sum())
+def _solve(beacons: BeaconSet, pairs, ratios):
+    """Gauss-Newton fits of V ratio vectors over the given beacon pairs.
+
+    ratios is (V, len(pairs)). The five starts of every vector run as
+    one (5V, 2) array of lanes, each with its own step, backtracking and
+    stop, so no lane's result depends on the others. Returns the point
+    (V, 2), objective (V,) and converged flag (V,) of each best start.
+    """
+    foci_i, foci_j = (beacons.coords[list(side)] for side in zip(*pairs))
+    spread = float(max(np.ptp(beacons.coords[:, 0]), np.ptp(beacons.coords[:, 1]), 1.0))
+    offsets = np.array([(0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=np.float64)
+    starts = beacons.coords.mean(axis=0) + offsets * (spread / 4)
+    r2 = np.repeat(np.square(np.asarray(ratios, dtype=np.float64)), len(starts), axis=0)
+    norm = 1.0 + r2
+    point = np.tile(starts, (len(r2) // len(starts), 1))
+    obj = (_residuals(point, foci_i, foci_j, norm, r2) ** 2).sum(axis=-1)
+    converged = np.zeros(len(point), dtype=bool)
+    live = np.arange(len(point))
     for _ in range(MAX_SOLVER_ITERATIONS):
-        f = _residuals(point, foci_i, foci_j, norm, r2)
-        jac = np.empty((f.size, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            jac[:, k] = (_residuals(point + e, foci_i, foci_j, norm, r2)
-                         - _residuals(point - e, foci_i, foci_j, norm, r2)) / (2 * step)
-        delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        trial = point + delta
-        trial_obj = float((_residuals(trial, foci_i, foci_j, norm, r2) ** 2).sum())
-        backtracks = 0
-        while trial_obj > obj and backtracks < 20:
-            delta = delta / 2
-            trial = point + delta
-            trial_obj = float((_residuals(trial, foci_i, foci_j, norm, r2) ** 2).sum())
-            backtracks += 1
-        moved = float(np.hypot(*delta))
-        point, obj = trial, trial_obj
-        if moved <= 1e-12 * scale:
-            return point, obj, True
-    return point, obj, False
+        if not live.size:
+            break
+        p, lr2, lnorm = point[live], r2[live], norm[live]
+        f = _residuals(p, foci_i, foci_j, lnorm, lr2)
+        # exact Jacobian 2((p - bi) - r^2 (p - bj)) / (1 + r^2); pinv takes
+        # lstsq's min-norm step with lstsq's singular-value cut-off
+        jac = 2 * ((p[:, None, :] - foci_i) - lr2[..., None] * (p[:, None, :] - foci_j)) / lnorm[..., None]
+        pinv = np.linalg.pinv(jac, rcond=max(len(pairs), 2) * np.finfo(np.float64).eps)
+        delta = -(pinv * f[:, None, :]).sum(axis=-1)
+        trial = p + delta
+        trial_obj = (_residuals(trial, foci_i, foci_j, lnorm, lr2) ** 2).sum(axis=-1)
+        for _ in range(20):
+            worse = np.flatnonzero(trial_obj > obj[live])
+            if not worse.size:
+                break
+            delta[worse] = delta[worse] / 2
+            trial[worse] = p[worse] + delta[worse]
+            trial_obj[worse] = (_residuals(trial[worse], foci_i, foci_j,
+                                           lnorm[worse], lr2[worse]) ** 2).sum(axis=-1)
+        point[live], obj[live] = trial, trial_obj
+        done = np.hypot(delta[:, 0], delta[:, 1]) <= 1e-12 * spread
+        converged[live[done]] = True
+        live = live[~done]
+    # the first start with the lowest objective, per vector
+    best = obj.reshape(-1, len(starts)).argmin(axis=1) + np.arange(0, len(point), len(starts))
+    return point[best], obj[best], converged[best]
 
 
 def estimate_position(beacons: BeaconSet, ratios) -> tuple[float, float, float]:
@@ -115,10 +134,11 @@ def estimate_position(beacons: BeaconSet, ratios) -> tuple[float, float, float]:
 
     ratios maps beacon-index pairs (i, j), i < j, to hop ratios
     h(s, B_i) / h(s, B_j). Minimises the sum of squared Apollonius
-    residuals, each normalised by (1 + r^2), by Gauss-Newton descent
-    with a numeric Jacobian from the beacon centroid plus four quadrant
-    offsets. Raises PositionSolverError (carrying the best iterate) if
-    no start converges within MAX_SOLVER_ITERATIONS iterations.
+    residuals, each normalised by (1 + r^2), by the batched Gauss-Newton
+    solver error_pattern uses (analytic Jacobian, starts at the beacon
+    centroid plus four quadrant offsets), called on one vector. Raises
+    PositionSolverError (carrying the best iterate) if no start
+    converges within MAX_SOLVER_ITERATIONS iterations.
     """
     pairs = sorted(ratios)
     if not pairs:
@@ -129,28 +149,13 @@ def estimate_position(beacons: BeaconSet, ratios) -> tuple[float, float, float]:
             raise ValueError(f"bad beacon pair ({i}, {j}) for {k} beacons")
         if not (ratios[(i, j)] > 0 and math.isfinite(ratios[(i, j)])):
             raise ValueError(f"ratio for pair ({i}, {j}) must be finite and > 0")
-    rvals = np.array([ratios[p] for p in pairs], dtype=np.float64)
-    r2 = rvals * rvals
-    norm = 1.0 + r2
-    foci_i = beacons.coords[[p[0] for p in pairs]]
-    foci_j = beacons.coords[[p[1] for p in pairs]]
-
-    centroid = beacons.coords.mean(axis=0)
-    spread = float(max(np.ptp(beacons.coords[:, 0]), np.ptp(beacons.coords[:, 1]), 1.0))
-    offsets = np.array([(0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=np.float64)
-    starts = centroid + offsets * (spread / 4)
-
-    best = None
-    for start in starts:
-        point, obj, ok = _gauss_newton(start, foci_i, foci_j, norm, r2, spread)
-        if best is None or obj < best[1]:
-            best = (point, obj, ok)
-    point, obj, ok = best
-    if not ok:
+    point, obj, ok = _solve(beacons, pairs, [[ratios[p] for p in pairs]])
+    x, y = float(point[0, 0]), float(point[0, 1])
+    if not ok[0]:
         raise PositionSolverError(
             f"no start converged within {MAX_SOLVER_ITERATIONS} iterations",
-            best=(float(point[0]), float(point[1])), objective=obj)
-    return float(point[0]), float(point[1]), obj
+            best=(x, y), objective=float(obj[0]))
+    return x, y, float(obj[0])
 
 
 @dataclass
@@ -196,22 +201,17 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
     hops = hop_distances(g, beacons.ids)[:, nodes]
     pairs = beacons.pairs()
     pi, pj = np.array(pairs).T
-    # Many nodes share a ratio vector; each distinct one is solved once.
+    # Many nodes share a ratio vector; the distinct ones are solved in one batch.
     vectors, which = np.unique((hops[pi] / hops[pj]).T, axis=0, return_inverse=True)
-    fits = []
-    for vec in vectors:
-        try:
-            fits.append((estimate_position(beacons, dict(zip(pairs, vec.tolist())))[:2], True))
-        except PositionSolverError as exc:
-            fits.append((exc.best, False))
+    points, _, converged = _solve(beacons, pairs, vectors)
     records = []
     for s, v in zip(nodes.tolist(), which.tolist()):
-        (x, y), converged = fits[v]
+        x, y = points[v].tolist()
         xt, yt = dep.positions[s]
         records.append(NodeEstimate(
             node=s, x_true=float(xt), y_true=float(yt), x_est=x, y_est=y,
             error=math.hypot(x - xt, y - yt),
-            interior=bool(interior[s]), converged=converged,
+            interior=bool(interior[s]), converged=bool(converged[v]),
         ))
     errors = np.array([r.error for r in records])
     interior_errors = np.array([r.error for r in records if r.interior])

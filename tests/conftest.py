@@ -19,6 +19,8 @@ from discrit.channel import (
 )
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph
+from discrit import localize
+from discrit.localize import PositionSolverError
 from discrit.protocol import (
     InvariantViolation, ProtocolTrace, _check_round_invariants, run_discrit,
     run_range_algorithm,
@@ -494,6 +496,80 @@ def apollonius_curve(bi, bj, r: float) -> ApolloniusCurve:
         c=(xi * xi + yi * yi) - r2 * (xj * xj + yj * yj),
     )
 
+
+
+def _reference_residuals(point, foci_i, foci_j, norm, r2):
+    # |p - bi|^2 - r^2 |p - bj|^2, evaluated in factored form for
+    # numerical stability; algebraically identical to the expanded
+    # curve coefficients. Normalised by (1 + r^2) per pair.
+    di = point - foci_i
+    dj = point - foci_j
+    return ((di * di).sum(axis=1) - r2 * (dj * dj).sum(axis=1)) / norm
+
+
+def _reference_gauss_newton(start, foci_i, foci_j, norm, r2, scale):
+    point = np.array(start, dtype=np.float64)
+    step = 1e-6 * scale
+    obj = float((_reference_residuals(point, foci_i, foci_j, norm, r2) ** 2).sum())
+    for _ in range(localize.MAX_SOLVER_ITERATIONS):
+        f = _reference_residuals(point, foci_i, foci_j, norm, r2)
+        jac = np.empty((f.size, 2))
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = step
+            jac[:, k] = (_reference_residuals(point + e, foci_i, foci_j, norm, r2)
+                         - _reference_residuals(point - e, foci_i, foci_j, norm, r2)) / (2 * step)
+        delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        trial = point + delta
+        trial_obj = float((_reference_residuals(trial, foci_i, foci_j, norm, r2) ** 2).sum())
+        backtracks = 0
+        while trial_obj > obj and backtracks < 20:
+            delta = delta / 2
+            trial = point + delta
+            trial_obj = float((_reference_residuals(trial, foci_i, foci_j, norm, r2) ** 2).sum())
+            backtracks += 1
+        moved = float(np.hypot(*delta))
+        point, obj = trial, trial_obj
+        if moved <= 1e-12 * scale:
+            return point, obj, True
+    return point, obj, False
+
+
+def reference_estimate_position(beacons, ratios):
+    """The per-vector solver ``localize._solve`` replaced: numeric-Jacobian
+    Gauss-Newton with ``lstsq`` steps, one start after another. Same API as
+    ``estimate_position``; the differential oracle for the batched solver."""
+    pairs = sorted(ratios)
+    if not pairs:
+        raise ValueError("no beacon-pair ratios given")
+    k = beacons.n_beacons
+    for i, j in pairs:
+        if not (0 <= i < j < k):
+            raise ValueError(f"bad beacon pair ({i}, {j}) for {k} beacons")
+        if not (ratios[(i, j)] > 0 and math.isfinite(ratios[(i, j)])):
+            raise ValueError(f"ratio for pair ({i}, {j}) must be finite and > 0")
+    rvals = np.array([ratios[p] for p in pairs], dtype=np.float64)
+    r2 = rvals * rvals
+    norm = 1.0 + r2
+    foci_i = beacons.coords[[p[0] for p in pairs]]
+    foci_j = beacons.coords[[p[1] for p in pairs]]
+
+    centroid = beacons.coords.mean(axis=0)
+    spread = float(max(np.ptp(beacons.coords[:, 0]), np.ptp(beacons.coords[:, 1]), 1.0))
+    offsets = np.array([(0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=np.float64)
+    starts = centroid + offsets * (spread / 4)
+
+    best = None
+    for start in starts:
+        point, obj, ok = _reference_gauss_newton(start, foci_i, foci_j, norm, r2, spread)
+        if best is None or obj < best[1]:
+            best = (point, obj, ok)
+    point, obj, ok = best
+    if not ok:
+        raise PositionSolverError(
+            f"no start converged within {localize.MAX_SOLVER_ITERATIONS} iterations",
+            best=(float(point[0]), float(point[1])), objective=obj)
+    return float(point[0]), float(point[1]), obj
 
 @pytest.fixture
 def unit_region():

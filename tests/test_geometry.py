@@ -151,3 +151,10 @@ def test_deployment_validation(unit_region):
         Deployment(np.array([[0.5, 0.5]]), "uniform-iid", unit_region, 0)
     with pytest.raises(ValueError):
         Deployment(np.random.default_rng(0).random((5, 2)), "grid", unit_region, 0)
+
+
+def test_deployment_rejects_non_finite_positions(unit_region):
+    # NaN fails neither bound check; it used to reach the range protocol,
+    # which raised InvariantViolation on a NaN threshold
+    with pytest.raises(ValueError, match="finite"):
+        Deployment(np.array([[0.0, 0.0], [np.nan, 0.5], [1.0, 1.0]]), "uniform-iid", unit_region, 0)

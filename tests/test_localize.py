@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,14 +6,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import apollonius_curve
+from conftest import (
+    apollonius_curve, edge_format_deployments, hello_seed0_weights, reference_estimate_position,
+)
 from discrit.geometry import Region, generate_deployment
-from discrit.graphs import EdgeGraph, critical_radius, hop_distances
+from discrit.graphs import (
+    EdgeGraph, component_labels, critical_radius, hop_distances, induced_subgraph,
+)
 from discrit import localize
 from discrit.localize import (
-    BeaconSet, PositionSolverError, _residuals, corner_beacons, error_pattern,
+    BeaconSet, PositionSolverError, _residuals, _solve, corner_beacons, error_pattern,
     estimate_position, save_error_pattern_csv,
 )
+from discrit.protocol import run_discrit
 
 
 def square_beacons(side=1000.0):
@@ -32,6 +38,12 @@ def test_beacon_set_validation():
         BeaconSet((0, 1, 2, 2), np.array([(0, 0), (1, 0), (0, 1), (1, 1)]))
     with pytest.raises(ValueError):
         BeaconSet((0, 1, 2, 3), np.array([(0, 0), (1, 0), (0, 1), (0, 1)]))
+
+
+def test_beacon_set_rejects_non_finite_coords():
+    # NaN used to pass every check and reach the solver, where the SVD failed
+    with pytest.raises(ValueError, match="finite"):
+        BeaconSet((0, 1, 2, 3), np.array([(0, 0), (1, 0), (0, 1), (math.nan, 1)]))
 
 
 def test_apollonius_bisector_line():
@@ -153,36 +165,109 @@ def test_error_pattern_structure(tmp_path):
     assert len(lines) == 1 + len(pattern.records)
 
 
+def node_ratio_vectors(dep, beacons, g):
+    """{node: its hop-ratio vector over beacons.pairs()}, one node at a time."""
+    hops = hop_distances(g, beacons.ids)
+    return {s: tuple(hops[i, s] / hops[j, s] for i, j in beacons.pairs())
+            for s in range(dep.n) if s not in beacons.ids}
+
+
 def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
-    # One iteration stalls almost every solve. Each distinct hop-ratio
-    # vector is solved once, and every node sharing a stalled vector still
-    # gets its best iterate and converged=False, as a solve per node would.
+    # One iteration stalls almost every solve. The distinct hop-ratio
+    # vectors are solved in one batch, and every node sharing a stalled
+    # vector still gets its best iterate and converged=False, as a solve
+    # per node would.
     dep = generate_deployment("uniform-iid", 250, Region(1000, 1000), 6)
     _, cgg = critical_radius(dep)
     beacons = corner_beacons(dep)
     monkeypatch.setattr(localize, "MAX_SOLVER_ITERATIONS", 1)
-    solves = []
+    batches = []
 
-    def counted(b, ratios):
-        solves.append(tuple(sorted(ratios.items())))
-        return estimate_position(b, ratios)
+    def spy(b, pairs, ratios):
+        batches.append(np.array(ratios))
+        return _solve(b, pairs, ratios)
 
-    monkeypatch.setattr(localize, "estimate_position", counted)
+    monkeypatch.setattr(localize, "_solve", spy)
     pattern = error_pattern(dep, beacons, cgg)
-    assert len(set(solves)) == len(solves) < len(pattern.records)
+    vectors = node_ratio_vectors(dep, beacons, cgg)
+    assert len(batches) == 1
+    rows = [tuple(row) for row in batches[0].tolist()]
+    assert len(set(rows)) == len(rows) < len(pattern.records)
+    assert set(rows) == set(vectors.values())
 
-    hops = hop_distances(cgg, beacons.ids)
     shared_stalls = {}
     for r in pattern.records:
-        ratios = {(i, j): hops[i, r.node] / hops[j, r.node] for i, j in beacons.pairs()}
+        ratios = dict(zip(beacons.pairs(), vectors[r.node]))
         try:
             expected = estimate_position(beacons, ratios)[:2], True
         except PositionSolverError as exc:
             expected = exc.best, False
-            key = tuple(sorted(ratios.items()))
-            shared_stalls[key] = shared_stalls.get(key, 0) + 1
+            shared_stalls[vectors[r.node]] = shared_stalls.get(vectors[r.node], 0) + 1
         assert ((r.x_est, r.y_est), r.converged) == expected
     assert max(shared_stalls.values()) >= 2
+
+
+@functools.lru_cache(maxsize=None)
+def solver_case(label):
+    """(beacons, pairs, vectors): the distinct ratio vectors error_pattern
+    solves on the critical graph of a uniform-iid n=1000 seed or of the
+    32 x 32 grid, or on the protocol giant component of hello_seed0_weights."""
+    if label == "protocol-giant":
+        g, _ = run_discrit(hello_seed0_weights())
+        labels = component_labels(g)
+        giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+        dep, g = edge_format_deployments()[0][1].subset(giant), induced_subgraph(g, giant)
+    elif label == "grid-32x32":
+        dep = edge_format_deployments()[3][1]
+        _, g = critical_radius(dep)
+    else:
+        dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), int(label[-1]))
+        _, g = critical_radius(dep)
+    beacons = corner_beacons(dep)
+    vectors = np.unique(list(node_ratio_vectors(dep, beacons, g).values()), axis=0)
+    return beacons, beacons.pairs(), vectors
+
+
+def sample_rows(vectors, sample):
+    """All row indices, or a fixed sample of that many."""
+    if sample is None:
+        return range(len(vectors))
+    return np.random.default_rng(0).choice(len(vectors), sample, replace=False)
+
+
+@pytest.mark.parametrize("label, sample, max_flag_changes", [
+    ("uniform-seed0", None, 0), ("grid-32x32", 100, 5), ("protocol-giant", 100, 5)])
+def test_solve_matches_reference_solver(label, sample, max_flag_changes):
+    # The batched analytic-Jacobian solver against the per-vector
+    # numeric-Jacobian one it replaced. Their steps round differently, so
+    # points agree to 1e-4 m, and a lane that stalls on a flat objective
+    # may end on the other side of the stop rule.
+    beacons, pairs, vectors = solver_case(label)
+    points, _, converged = _solve(beacons, pairs, vectors)
+    flag_changes = 0
+    for v in sample_rows(vectors, sample):
+        try:
+            ref, ref_ok = reference_estimate_position(beacons, dict(zip(pairs, vectors[v].tolist())))[:2], True
+        except PositionSolverError as exc:
+            ref, ref_ok = exc.best, False
+        assert math.hypot(*(points[v] - ref)) <= 1e-4
+        flag_changes += bool(converged[v]) != ref_ok
+    assert flag_changes <= max_flag_changes
+
+
+@pytest.mark.parametrize("label, sample", [
+    ("uniform-seed0", None), ("uniform-seed3", None), ("protocol-giant", 100)])
+def test_solve_lanes_are_independent(label, sample):
+    # A vector's fit must not depend on the vectors batched with it, or
+    # the pipeline's bytes would depend on which nodes share a run. The
+    # protocol sample holds 7 vectors whose lanes never converge.
+    beacons, pairs, vectors = solver_case(label)
+    points, objs, converged = _solve(beacons, pairs, vectors)
+    for v in sample_rows(vectors, sample):
+        point, obj, ok = _solve(beacons, pairs, vectors[v:v + 1])
+        assert point[0].tobytes() == points[v].tobytes()
+        assert obj[0].tobytes() == objs[v].tobytes()
+        assert ok[0] == converged[v]
 
 
 def test_error_pattern_rejects_node_count_mismatch():
