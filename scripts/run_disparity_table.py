@@ -4,14 +4,13 @@ degree-1 graphs, for all three deployment kinds, on all nodes and on the
 interior. Writes one CSV row per (kind, scope, reference)."""
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from discrit.channel import DEFAULT_CHANNEL, simulate_hello
-from discrit.geometry import Region, generate_deployment, interior_nodes
+from discrit.geometry import Region, generate_deployment, interior_nodes, save_csv
 from discrit.graphs import critical_radius, degree1_radius, disparity
 from discrit.protocol import run_discrit
 
@@ -47,11 +46,7 @@ def main():
             n = int(args.n ** 0.5) ** 2  # nearest square below
         rows += rows_for_kind(kind, n, region, args.seed, args.margin)
         print(f"{kind}: done (n={n})")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "scope", "reference", "d_protocol_ref", "d_ref_protocol"])
-        for row in rows:
-            writer.writerow(row[:3] + [repr(row[3]), repr(row[4])])
+    save_csv(args.out, ["kind", "scope", "reference", "d_protocol_ref", "d_ref_protocol"], *zip(*rows))
     print(f"wrote {args.out}")
 
 

@@ -21,7 +21,6 @@ beta were within rounding of 1 and sigma2 below that of the total.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix, subset_ids
+from .geometry import Deployment, distance_matrix, save_csv, subset_ids
 
 FADING_KINDS = ("deterministic", "rayleigh-power")
 
@@ -318,37 +317,16 @@ def save_link_weights(table: LinkWeightTable, prefix) -> tuple[Path, Path]:
     prefix = Path(prefix)
     csv_path = prefix.with_name(prefix.name + ".weights.csv")
     meta_path = prefix.with_name(prefix.name + ".weights.json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "C", "B", "p_hat"])
-        ii, jj = np.nonzero(table.c)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            writer.writerow([i, j, int(table.c[i, j]), int(table.b[i]),
-                             repr(float(table.p_hat[i, j]))])
+    ii, jj = np.nonzero(table.c)
+    save_csv(csv_path, ["i", "j", "C", "B", "p_hat"],
+             ii, jj, table.c[ii, jj], table.b[ii], table.p_hat[ii, jj])
     meta_path.write_text(json.dumps({"n": table.n, "b": table.b.tolist()}) + "\n")
     return csv_path, meta_path
 
 
-def load_link_weights(prefix) -> LinkWeightTable:
-    prefix = Path(prefix)
-    csv_path = prefix.with_name(prefix.name + ".weights.csv")
-    meta_path = prefix.with_name(prefix.name + ".weights.json")
-    meta = json.loads(meta_path.read_text())
-    n = meta["n"]
-    c = np.zeros((n, n), dtype=np.int64)
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            c[int(rec["i"]), int(rec["j"])] = int(rec["C"])
-    return LinkWeightTable.from_counts(c, np.array(meta["b"], dtype=np.int64))
-
-
 def save_power_histograms(hist: PowerHistograms, path) -> None:
     """Write ``annulus,bin_lo,bin_hi,freq`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["annulus", "bin_lo", "bin_hi", "freq"])
-        for a, masses in enumerate(hist.masses):
-            for k, mass in enumerate(masses):
-                writer.writerow([a, repr(float(hist.bin_edges[k])),
-                                 repr(float(hist.bin_edges[k + 1])), repr(float(mass))])
+    masses = np.asarray(hist.masses)
+    annuli, bins = masses.shape
+    save_csv(path, ["annulus", "bin_lo", "bin_hi", "freq"], np.repeat(np.arange(annuli), bins),
+             np.tile(hist.bin_edges[:-1], annuli), np.tile(hist.bin_edges[1:], annuli), masses.ravel())

@@ -10,7 +10,6 @@ artifact byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import config as config_mod
 from .channel import save_link_weights, simulate_hello
 from .discretize import rho_stats, save_rho_histogram_csv
 from .geometry import (
-    generate_deployment, interior_nodes, save_deployment_json,
+    generate_deployment, interior_nodes, save_csv, save_deployment_json,
     save_positions_csv,
 )
 from .graphs import (
@@ -151,11 +150,8 @@ class _SeedRun:
         hist_path = self.dir / "rho_hist.csv"
         save_rho_histogram_csv(st, hist_path)
         summary_path = self.dir / "rho.csv"
-        with open(summary_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "pairs", "mean_rho", "var_rho", "cv_rho"])
-            writer.writerow([self.dep.n, st.pairs_used, repr(st.mean),
-                             repr(st.variance), repr(st.cv)])
+        save_csv(summary_path, ["n", "pairs", "mean_rho", "var_rho", "cv_rho"],
+                 [self.dep.n], [st.pairs_used], [st.mean], [st.variance], [st.cv])
         self.artifacts += [hist_path, summary_path]
 
     def selforg(self):
@@ -175,14 +171,6 @@ class _SeedRun:
         path = self.dir / "localization.csv"
         save_error_pattern_csv(pattern, path)
         self.artifacts.append(path)
-
-
-def _write_disparity(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "kind", "scope", "g_a", "g_b", "d_ab", "d_ba"])
-        for row in rows:
-            writer.writerow(list(row[:5]) + [repr(float(row[5])), repr(float(row[6]))])
 
 
 def run_pipeline(doc: dict, stages=None) -> int:
@@ -207,7 +195,7 @@ def run_pipeline(doc: dict, stages=None) -> int:
         artifacts += run.artifacts
     if disparity_rows:
         path = out / "disparity.csv"
-        _write_disparity(disparity_rows, path)
+        save_csv(path, ["seed", "kind", "scope", "g_a", "g_b", "d_ab", "d_ba"], *zip(*disparity_rows))
         artifacts.append(path)
     config_mod.write_manifest(doc, out, artifacts)
     return 0

@@ -8,14 +8,13 @@ counts usable as discretised distances.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .geometry import Deployment, Region, generate_deployment
+from .geometry import Deployment, Region, generate_deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, critical_radius, hop_matrix
 
 # Above this node count all-pairs rho is quadratic-cost; default to a
@@ -65,17 +64,14 @@ def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -
         raise ValueError(f"graph has {g.n} nodes, deployment has {n}")
     hops = hop_matrix(g)
     if pair_sample == "all":
-        iu = np.triu_indices(n, 1)
-        hvals = hops[iu].astype(np.float64)
-        diff = dep.positions[iu[0]] - dep.positions[iu[1]]
+        ii, jj = np.triu_indices(n, 1)
     else:
         count = int(pair_sample)
         if count < 1:
             raise ValueError(f"pair_sample must be >= 1, got {pair_sample}")
         ii, jj = _pair_sample(n, count, seed)
-        hvals = hops[ii, jj].astype(np.float64)
-        diff = dep.positions[ii] - dep.positions[jj]
-    dvals = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    hvals = hops[ii, jj].astype(np.float64)
+    dvals = pair_distances(dep, ii, jj)
     finite = hvals > 0
     excluded = int(np.sum(hvals < 0))
     samples = dvals[finite] / hvals[finite]
@@ -146,21 +142,9 @@ def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,
 
 
 def save_trend_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "var_rho", "cv_rho", "ci_var", "ci_cv"])
-        for r in rows:
-            writer.writerow([
-                r.n, repr(r.var_rho), repr(r.cv_rho),
-                "" if r.ci_var is None else repr(r.ci_var),
-                "" if r.ci_cv is None else repr(r.ci_cv),
-            ])
+    save_csv(path, ["n", "var_rho", "cv_rho", "ci_var", "ci_cv"],
+             *zip(*((r.n, r.var_rho, r.cv_rho, r.ci_var, r.ci_cv) for r in rows)))
 
 
 def save_rho_histogram_csv(st: RhoStats, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "freq"])
-        for k, mass in enumerate(st.hist_masses):
-            writer.writerow([repr(float(st.hist_edges[k])),
-                             repr(float(st.hist_edges[k + 1])), repr(float(mass))])
+    save_csv(path, ["bin_lo", "bin_hi", "freq"], st.hist_edges[:-1], st.hist_edges[1:], st.hist_masses)

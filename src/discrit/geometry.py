@@ -26,8 +26,8 @@ class Region:
     height: float = 1000.0
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"region sides must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"region sides must be positive and finite, got {self.width}x{self.height}")
 
     @property
     def area(self) -> float:
@@ -62,10 +62,6 @@ class Deployment:
         x, y = pos[:, 0], pos[:, 1]
         if np.any(x < 0) or np.any(x > w) or np.any(y < 0) or np.any(y > h):
             raise ValueError("positions must lie inside the region (inclusive)")
-        if self.kind == "grid":
-            k = math.isqrt(pos.shape[0])
-            if k * k != pos.shape[0]:
-                raise ValueError(f"grid deployment needs a perfect-square node count, got {pos.shape[0]}")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -142,6 +138,15 @@ def distance_matrix(dep: Deployment) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def pair_distances(dep: Deployment, i, j) -> np.ndarray:
+    """Distances between nodes i[k] and j[k], bit-equal to
+    ``distance_matrix(dep)[i, j]`` without building the matrix."""
+    x, y = dep.positions[:, 0], dep.positions[:, 1]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def interior_nodes(dep: Deployment, margin: float) -> np.ndarray:
     """Ids of nodes at distance >= margin from every region boundary."""
     w, h = dep.region.width, dep.region.height
@@ -152,24 +157,23 @@ def interior_nodes(dep: Deployment, margin: float) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def save_positions_csv(dep: Deployment, path) -> None:
-    """Write positions as ``id,x,y`` rows (floats via repr, lossless)."""
+def save_csv(path, header, *columns) -> None:
+    """Write a ``header`` row, then one row per index of the equal-length
+    ``columns``.
+
+    Every CSV artifact is written here. Columns go through ``tolist()``,
+    so the csv module writes floats as their repr (lossless), ints as
+    text and None as an empty field.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y"])
-        for i, (x, y) in enumerate(dep.positions):
-            writer.writerow([i, repr(float(x)), repr(float(y))])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
 
 
-def load_positions_csv(path) -> np.ndarray:
-    """Read an ``id,x,y`` file back into an (n, 2) array ordered by id."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append((int(rec["id"]), float(rec["x"]), float(rec["y"])))
-    rows.sort()
-    return np.array([(x, y) for _, x, y in rows], dtype=np.float64)
+def save_positions_csv(dep: Deployment, path) -> None:
+    """Write positions as ``id,x,y`` rows."""
+    save_csv(path, ["id", "x", "y"], np.arange(dep.n), dep.positions[:, 0], dep.positions[:, 1])
 
 
 def deployment_to_json(dep: Deployment) -> dict:

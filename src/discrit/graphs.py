@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .geometry import Deployment, distance_matrix, subset_ids
+from .geometry import Deployment, distance_matrix, save_csv, subset_ids
 
 
 class _Marker:
@@ -201,10 +201,7 @@ def save_graph(g: EdgeGraph, prefix) -> tuple[Path, Path]:
     prefix = Path(prefix)
     csv_path = prefix.with_name(prefix.name + ".edges.csv")
     hdr_path = prefix.with_name(prefix.name + ".graph.json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        writer.writerows(g.edges.tolist())
+    save_csv(csv_path, ["i", "j"], g.edges[:, 0], g.edges[:, 1])
     header = {"n": g.n, "radius": g.radius}
     hdr_path.write_text(json.dumps(header) + "\n")
     return csv_path, hdr_path

@@ -8,13 +8,12 @@ least-squares intersection of those curves estimates the position.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Deployment, interior_nodes
+from .geometry import Deployment, interior_nodes, save_csv
 from .graphs import EdgeGraph, hop_distances, is_connected
 
 
@@ -223,9 +222,5 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
 
 
 def save_error_pattern_csv(pattern: ErrorPattern, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x_true", "y_true", "x_est", "y_est", "err_m"])
-        for r in pattern.records:
-            writer.writerow([r.node, repr(r.x_true), repr(r.y_true),
-                             repr(r.x_est), repr(r.y_est), repr(r.error)])
+    save_csv(path, ["node", "x_true", "y_true", "x_est", "y_est", "err_m"],
+             *zip(*((r.node, r.x_true, r.y_true, r.x_est, r.y_est, r.error) for r in pattern.records)))

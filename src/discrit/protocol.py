@@ -25,13 +25,12 @@ mask over that list, with no (n, n) array.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import LinkWeightTable
-from .geometry import Deployment, distance_matrix
+from .geometry import Deployment, distance_matrix, save_csv
 from .graphs import EdgeGraph
 
 
@@ -180,9 +179,7 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
 def trace_to_csv(trace: ProtocolTrace, path) -> None:
     """Write per-round state as ``iteration,node,threshold,degree`` rows;
     ``iteration`` is the snapshot index, 0 being the initial state."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "node", "threshold", "degree"])
-        for k, (thr, deg) in enumerate(zip(trace.thresholds, trace.degrees)):
-            for i in range(len(thr)):
-                writer.writerow([k, i, repr(float(thr[i])), int(deg[i])])
+    thr = np.asarray(trace.thresholds)
+    k, n = thr.shape
+    save_csv(path, ["iteration", "node", "threshold", "degree"], np.repeat(np.arange(k), n),
+             np.tile(np.arange(n), k), thr.ravel(), np.ravel(trace.degrees))

@@ -10,13 +10,12 @@ Aloha MAC on it, and picks the h that maximises it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Deployment, distance_matrix
+from .geometry import Deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, hop_matrix, is_connected
 
 
@@ -123,7 +122,7 @@ def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
     return _h_hop_topology(hop_matrix(g), h)
 
 
-def _simulate_psi(dist, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
+def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
     """Saturated single-cell Aloha on a fixed topology.
 
     Each slot every node with a topology neighbour attempts with
@@ -149,7 +148,7 @@ def _simulate_psi(dist, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> flo
         if winners.size:
             u = rng.random(winners.size)
             nbr = csr.indices[csr.indptr[winners] + (u * deg[winners]).astype(np.int64)]
-            d = dist[winners, nbr]
+            d = pair_distances(dep, winners, nbr)
             total += float((d * p.w * link_rate(d, p)).sum())
         done += m
     return total / p.slots
@@ -165,7 +164,7 @@ def simulate_transport_capacity(dep: Deployment, g_base: EdgeGraph, h: int,
     topology = build_h_hop_topology(g_base, h)
     if not topology.num_edges:
         raise ValueError(f"every node is isolated in the {h}-hop topology")
-    return _simulate_psi(distance_matrix(dep), topology, p, seed)
+    return _simulate_psi(dep, topology, p, seed)
 
 
 @dataclass
@@ -194,7 +193,6 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
     hops = hop_matrix(g_base)
-    dist = distance_matrix(dep)
     child_seeds = np.random.SeedSequence(seed).spawn(h_max)
     rows = []
     for h in range(1, h_max + 1):
@@ -203,8 +201,8 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
             rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
             continue
         n_active = int(np.count_nonzero(topology.degrees()))
-        mean_len = float(dist[topology.edges[:, 0], topology.edges[:, 1]].mean())
-        psi_sim = _simulate_psi(dist, topology, p, child_seeds[h - 1])
+        mean_len = float(pair_distances(dep, topology.edges[:, 0], topology.edges[:, 1]).mean())
+        psi_sim = _simulate_psi(dep, topology, p, child_seeds[h - 1])
         a = p.a if p.a is not None else aloha_contention_constant(n_active, p.q, p.w)
         rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
                            psi_sim, theoretical_psi(mean_len, p, a=a)))
@@ -214,9 +212,5 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
 
 
 def save_psi_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "mean_hop_len_m", "psi_sim", "psi_theory"])
-        for r in rows:
-            writer.writerow([r.h, repr(float(r.mean_hop_len)),
-                             repr(float(r.psi_sim)), repr(float(r.psi_theory))])
+    save_csv(path, ["h", "mean_hop_len_m", "psi_sim", "psi_theory"],
+             *zip(*((r.h, r.mean_hop_len, r.psi_sim, r.psi_theory) for r in rows)))

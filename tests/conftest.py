@@ -306,6 +306,27 @@ def reference_disparity(ga, gb):
     return len(ga.edges - gb.edges) / len(ga.edges)
 
 
+def _reference_csv_field(x):
+    """One field as the hand-written writers formatted it."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return repr(float(x))
+
+
+def reference_save_csv(path, header, *columns):
+    """``geometry.save_csv`` as the artifact writers did it before: one
+    ``writerow`` per row, floats via repr(float(x)), None as ""."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_reference_csv_field(x) for x in row])
+
+
 def reference_save_graph(g, prefix):
     """``save_graph`` as it was: one row per sorted edge tuple."""
     prefix = Path(prefix)

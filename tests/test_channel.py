@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ from conftest import (
 )
 from discrit.channel import (
     ChannelParams, EmpiricalCDF, LinkWeightTable, homogeneity_check,
-    load_link_weights, predict_p, received_power_histogram, save_link_weights,
+    predict_p, received_power_histogram, save_link_weights,
     simulate_hello, square_annulus_index, total_variation,
 )
 from discrit.geometry import Deployment, Region, generate_deployment
@@ -313,10 +315,16 @@ def test_link_weight_subset_and_io(tmp_path):
     assert np.array_equal(sub.c, table.c[np.ix_(ids, ids)])
     assert np.array_equal(sub.b, table.b[ids])
     save_link_weights(table, tmp_path / "w")
-    back = load_link_weights(tmp_path / "w")
-    assert np.array_equal(back.c, table.c)
-    assert np.array_equal(back.b, table.b)
-    assert np.array_equal(back.p_hat, table.p_hat)
+    meta = json.loads((tmp_path / "w.weights.json").read_text())
+    assert meta == {"n": 12, "b": table.b.tolist()}
+    c, p_hat = np.zeros((12, 12), np.int64), np.zeros((12, 12))
+    with open(tmp_path / "w.weights.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            i, j = int(r["i"]), int(r["j"])
+            c[i, j], p_hat[i, j] = int(r["C"]), float(r["p_hat"])
+            assert int(r["B"]) == table.b[i]
+    assert np.array_equal(c, table.c)
+    assert np.array_equal(p_hat, table.p_hat)
 
 
 def test_link_weight_subset_rejects_out_of_range_ids():

@@ -67,6 +67,22 @@ def test_full_pipeline_writes_disparity_table(tmp_path):
     assert (out / "seed-1" / "hello.weights.csv").exists()
 
 
+def test_grid_interior_eval_runs(tmp_path):
+    # The interior scope holds 288 of the 400 grid nodes; its subset keeps
+    # kind "grid", which used to demand a perfect-square count.
+    doc = minimal_config(tmp_path, protocol={"mode": "distance"}, interior_margin=0.1)
+    doc["deployment"] = {"kind": "grid", "n": 400, "region": {"width": 1000, "height": 600}}
+    assert run_pipeline(doc) == 0
+    lines = (tmp_path / "out" / "disparity.csv").read_text().splitlines()
+    assert {line.split(",")[2] for line in lines[1:]} == {"all", "interior"}
+
+
+def test_infinite_region_side_rejected(tmp_path):
+    doc = json.loads('{"deployment": {"kind": "grid", "n": 4, "region": {"width": Infinity}}}')
+    with pytest.raises(RuntimeError, match="stage 'deploy' failed .*finite"):
+        run_pipeline(dict(doc, output_dir=str(tmp_path / "out"), seeds=[0]))
+
+
 def test_invalid_config_rejected(tmp_path):
     with pytest.raises(ConfigError, match="seeds"):
         validate_config({"output_dir": "x", "seeds": [], "deployment": {"kind": "grid", "n": 4}})

@@ -1,14 +1,18 @@
+import ast
+import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairwise_distance
+from conftest import pairwise_distance, reference_save_csv
 from discrit.geometry import (
     Deployment, Region, deployment_to_json, distance_matrix, generate_deployment,
-    interior_nodes, load_positions_csv, save_positions_csv,
+    interior_nodes, pair_distances, save_csv, save_positions_csv,
 )
 
 
@@ -17,6 +21,10 @@ def test_region_validation():
         Region(0.0, 1.0)
     with pytest.raises(ValueError):
         Region(1.0, -2.0)
+    # an infinite side used to pass and fail later as "positions must be finite"
+    for w, h in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Region(w, h)
 
 
 def test_grid_2x2_cell_centers(unit_region):
@@ -79,6 +87,16 @@ def test_distance_matrix_matches_scalar(km_region):
     assert np.array_equal(d, d.T)
 
 
+@pytest.mark.parametrize("kind,n", [("grid", 400), ("uniform-iid", 300)])
+def test_pair_distances_equal_matrix_entries(km_region, kind, n):
+    dep = generate_deployment(kind, n, km_region, seed=4)
+    d = distance_matrix(dep)
+    i, j = np.indices((n, n)).reshape(2, -1)
+    assert np.array_equal(pair_distances(dep, i, j), d[i, j])
+    if kind == "grid":  # exact ties: many pairs share a distance
+        assert np.unique(d).size < d.size // 100
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_triangle_inequality(seed):
@@ -116,8 +134,49 @@ def test_csv_roundtrip(tmp_path, km_region):
     dep = generate_deployment("uniform-iid", 60, km_region, seed=8)
     path = tmp_path / "dep.csv"
     save_positions_csv(dep, path)
-    back = load_positions_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["id"]) for r in rows] == list(range(60))
+    back = np.array([[float(r["x"]), float(r["y"])] for r in rows])
     assert np.array_equal(back, dep.positions)
+
+
+SAVE_CSV_CASES = {
+    "special-floats": [[np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300]],
+    "float32": [np.array([0.1, 1 / 3, -2.5e-8, np.nan], dtype=np.float32)],
+    "float64-scalars": [[np.float64(0.1), np.float64(1 / 3), np.float64(-7.0)]],
+    "ints-and-floats": [np.arange(4), np.array([3, -1, 0, 2**40]), np.linspace(0, 1, 4)],
+    "none-and-str": [["a", "b,c", 'q"d'], [None, 0.25, None], [1.5, None, 2.0]],
+    "empty": [[], np.array([], dtype=np.float64)],
+}
+
+
+@pytest.mark.parametrize("columns", SAVE_CSV_CASES.values(), ids=SAVE_CSV_CASES.keys())
+def test_save_csv_matches_row_writer(tmp_path, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    save_csv(tmp_path / "new.csv", header, *columns)
+    reference_save_csv(tmp_path / "old.csv", header, *columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_writer_only_in_save_csv():
+    # One writer keeps the artifact format in one place.
+    src = Path(__file__).resolve().parent.parent / "src" / "discrit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "save_csv" and path.name == "geometry.py":
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append(f"{path.name}:{node.lineno} imports from csv")
+    assert found == []
 
 
 def test_json_roundtrip(km_region):
@@ -136,6 +195,12 @@ def test_subset_reindexes(km_region):
     assert np.array_equal(sub.positions, dep.positions[[2, 5, 9]])
 
 
+def test_grid_subset_keeps_kind():
+    # kind records how the parent was drawn; a subset need not be square
+    sub = generate_deployment("grid", 16, Region(), 0).subset([0, 1, 2])
+    assert sub.kind == "grid" and sub.n == 3
+
+
 def test_subset_rejects_duplicate_and_out_of_range_ids(km_region):
     dep = generate_deployment("uniform-iid", 20, km_region, seed=1)
     with pytest.raises(ValueError, match="subset id 5 given twice"):
@@ -149,8 +214,8 @@ def test_deployment_validation(unit_region):
         Deployment(np.array([[0.5, 1.5], [0.2, 0.2]]), "uniform-iid", unit_region, 0)
     with pytest.raises(ValueError):
         Deployment(np.array([[0.5, 0.5]]), "uniform-iid", unit_region, 0)
-    with pytest.raises(ValueError):
-        Deployment(np.random.default_rng(0).random((5, 2)), "grid", unit_region, 0)
+    with pytest.raises(ValueError, match="perfect-square"):
+        generate_deployment("grid", 5, unit_region, 0)
 
 
 def test_deployment_rejects_non_finite_positions(unit_region):
