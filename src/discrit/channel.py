@@ -86,7 +86,8 @@ class LinkWeightTable:
     """Directed Hello statistics: counts c[i, j], broadcasts b[i], ratios p_hat.
 
     p_hat[i, j] = c[i, j] / b[i] is the estimated probability that a
-    Hello of i is decoded at j; pairs never heard have weight 0.
+    Hello of i is decoded at j; pairs never heard and self pairs have
+    weight 0.
     """
 
     c: np.ndarray
@@ -100,8 +101,8 @@ class LinkWeightTable:
         n = c.shape[0]
         if c.shape != (n, n) or b.shape != (n,) or p.shape != (n, n):
             raise ValueError("inconsistent table shapes")
-        if np.any(np.diag(c) != 0):
-            raise ValueError("self counts must be zero")
+        if np.any(np.diag(c) != 0) or np.any(np.diag(p) != 0):
+            raise ValueError("self counts and weights must be zero")
         if np.any(c < 0) or np.any(b < 0) or np.any(c > b[:, None]):
             raise ValueError("need 0 <= c[i, j] <= b[i]")
         if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN

@@ -18,7 +18,7 @@ from . import config as config_mod
 from .channel import save_link_weights, simulate_hello
 from .discretize import rho_stats, save_rho_histogram_csv
 from .geometry import (
-    generate_deployment, interior_nodes, save_csv, save_deployment_json,
+    Region, generate_deployment, interior_nodes, save_csv, save_deployment_json,
     save_positions_csv,
 )
 from .graphs import (
@@ -35,12 +35,16 @@ def _protocol_mode(doc) -> str:
     return doc.get("protocol", {}).get("mode", "discrit")
 
 
+def _localize_graph(doc) -> str:
+    return doc.get("localize", {}).get("graph", "critical")
+
+
 def resolve_stages(doc: dict, requested) -> tuple:
     """Close the requested stage set under hard dependencies."""
     want = set(requested)
     if "eval" in want:
         want.add("protocol")
-    if "localize" in want and doc.get("localize", {}).get("graph", "critical") == "protocol":
+    if "localize" in want and _localize_graph(doc) == "protocol":
         want.add("protocol")
     if "protocol" in want and _protocol_mode(doc) == "discrit":
         want.add("hello")
@@ -82,7 +86,7 @@ class _SeedRun:
     def deploy(self):
         self.dep = generate_deployment(
             self.doc["deployment"]["kind"], self.doc["deployment"]["n"],
-            config_mod.region_from_config(self.doc), self.seed)
+            Region(**self.doc["deployment"].get("region", {})), self.seed)
         csv_path = self.dir / "deployment.csv"
         json_path = self.dir / "deployment.json"
         save_positions_csv(self.dep, csv_path)
@@ -95,12 +99,7 @@ class _SeedRun:
         self.artifacts += save_link_weights(self.weights, self.dir / "hello")
 
     def protocol(self):
-        block = self.doc.get("protocol", {})
-        kwargs = {
-            "termination": block.get("termination", "centralized"),
-            "timeout_rounds": block.get("timeout_rounds", 1),
-            "suppress": block.get("suppress", True),
-        }
+        kwargs = {k: v for k, v in self.doc.get("protocol", {}).items() if k != "mode"}
         if _protocol_mode(self.doc) == "discrit":
             graph, trace = run_discrit(self.weights, **kwargs)
         else:
@@ -144,9 +143,7 @@ class _SeedRun:
         return rows
 
     def discretize(self):
-        block = self.doc.get("discretize", {})
-        st = rho_stats(self.dep, self.cgg(),
-                       pair_sample=block.get("pair_sample", "all"), seed=self.seed)
+        st = rho_stats(self.dep, self.cgg(), seed=self.seed, **self.doc.get("discretize", {}))
         hist_path = self.dir / "rho_hist.csv"
         save_rho_histogram_csv(st, hist_path)
         summary_path = self.dir / "rho.csv"
@@ -162,9 +159,8 @@ class _SeedRun:
         self.artifacts.append(path)
 
     def localize(self):
-        block = self.doc.get("localize", {})
-        graph = self.protocol_graph if block.get("graph", "critical") == "protocol" else self.cgg()
-        margin = block.get("margin")  # fraction of the smaller region side
+        graph = self.protocol_graph if _localize_graph(self.doc) == "protocol" else self.cgg()
+        margin = self.doc.get("localize", {}).get("margin")  # fraction of the smaller region side
         if margin is not None:
             margin = margin * min(self.dep.region.width, self.dep.region.height)
         pattern = error_pattern(self.dep, corner_beacons(self.dep), graph, margin=margin)

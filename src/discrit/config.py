@@ -20,7 +20,6 @@ import scipy
 
 from . import __version__
 from .channel import DEFAULT_CHANNEL, ChannelParams
-from .geometry import Region
 from .selforg import DEFAULT_SELFORG, SelfOrgParams
 
 OUTPUT_DIR_ENV = "DISCRIT_OUTPUT_DIR"
@@ -122,11 +121,6 @@ def validate_config(doc: dict) -> dict:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
     return doc
-
-
-def region_from_config(doc: dict) -> Region:
-    reg = doc["deployment"].get("region", {})
-    return Region(reg.get("width", 1000.0), reg.get("height", 1000.0))
 
 
 def channel_from_config(doc: dict) -> ChannelParams:

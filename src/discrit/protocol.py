@@ -19,8 +19,16 @@ Every round the engine checks that thresholds are copies of initial
 values, never exceed the network-wide extreme kmax, and are absorbed
 once they reach it, and raises InvariantViolation on the first breach.
 So no node ever admits a neighbour whose key exceeds kmax: the engine
-lists the directed pairs with key <= kmax once, and each round is a
-mask over that list, with no (n, n) array.
+takes a list of directed candidate pairs holding every pair with key
+<= kmax, and each round is a mask over that list, with no (n, n) array.
+Each mode's caller already holds such a list:
+
+* distance mode — kmax is the largest nearest-neighbour distance r1,
+  so the candidates are the edges of the degree-1 graph
+  (graphs.degree1_radius) in both directions.
+* weight mode — every p-threshold starts at a weight > 0 and never
+  falls below the smallest start, so the candidates are the pairs whose
+  Hellos were decoded, the nonzero entries of p_hat.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkWeightTable
-from .geometry import Deployment, distance_matrix, save_csv
-from .graphs import EdgeGraph
+from .geometry import Deployment, pair_distances, save_csv
+from .graphs import EdgeGraph, degree1_radius
 
 
 class InvariantViolation(AssertionError):
@@ -77,10 +85,11 @@ def _check_round_invariants(prev, new, initial_set, kmax, mode):
         raise InvariantViolation(f"{mode}: absorbed threshold changed")
 
 
-def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
-    """Engine core. ``score[i, j]`` is the key node i holds for node j,
-    lower = closer; the diagonal is ignored. ``natural`` maps engine keys
-    back to the mode's reported units."""
+def _run_minmax(n, src, dst, key, mode, natural, termination, timeout_rounds, suppress):
+    """Engine core. Holder ``src[k]`` keeps ``key[k]`` for neighbour
+    ``dst[k]``, lower = closer. No pair is a self pair, every node holds
+    one, and every pair with key <= kmax is listed (module docstring).
+    ``natural`` maps engine keys back to the mode's reported units."""
     if termination not in ("centralized", "distributed"):
         raise ValueError(f"unknown termination mode {termination!r}")
     if termination == "distributed":
@@ -89,16 +98,12 @@ def _run_minmax(score, mode, natural, termination, timeout_rounds, suppress):
         if not suppress:
             raise ValueError("distributed termination needs message suppression; "
                              "without it messages never cease")
-    n = score.shape[0]
-    s = np.array(score, dtype=np.float64)
-    np.fill_diagonal(s, np.inf)
-    thr = s.min(axis=1)
+    thr = np.full(n, np.inf)
+    np.minimum.at(thr, src, key)
     initial_set = set(thr.tolist())
     kmax = thr.max()
-    # Directed candidate pairs (holder src, neighbour dst); the inf diagonal keeps out self.
-    src, dst = np.nonzero(s <= kmax)
-    key = s[src, dst]
-    del s
+    keep = key <= kmax
+    src, dst, key = src[keep], dst[keep], key[keep]
 
     live = key <= thr[src]  # live[k]: dst[k] is in src[k]'s adjacent set
     trace = ProtocolTrace(mode=mode, termination=termination)
@@ -153,8 +158,10 @@ def run_range_algorithm(dep: Deployment, *, termination="centralized",
     connected, the output equals it and the run converges within its hop
     diameter.
     """
-    return _run_minmax(distance_matrix(dep), "distance", lambda t: t.copy(), termination,
-                       timeout_rounds, suppress)
+    e = degree1_radius(dep)[1].edges
+    src, dst = np.concatenate([e, e[:, ::-1]]).T
+    return _run_minmax(dep.n, src, dst, pair_distances(dep, src, dst), "distance",
+                       lambda t: t.copy(), termination, timeout_rounds, suppress)
 
 
 def run_discrit(weights: LinkWeightTable, *, termination="centralized",
@@ -166,14 +173,13 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
     adjacency is made bidirectional.
     """
     p = weights.p_hat
-    n = p.shape[0]
-    incoming_max = np.where(np.eye(n, dtype=bool), -np.inf, p).max(axis=0)
-    dead = np.flatnonzero(incoming_max <= 0)
+    dst, src = np.nonzero(p)  # node src heard dst's Hellos
+    dead = np.flatnonzero(np.bincount(src, minlength=weights.n) == 0)
     if dead.size:
         raise ValueError(f"node {int(dead[0])} has no incoming weight > 0; "
                          "cannot initialise its p-threshold")
-    return _run_minmax(-p.T, "discrit", lambda t: -t, termination,
-                       timeout_rounds, suppress)
+    return _run_minmax(weights.n, src, dst, -p[dst, src], "discrit", lambda t: -t,
+                       termination, timeout_rounds, suppress)
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:

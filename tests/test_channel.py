@@ -307,6 +307,14 @@ def test_link_weight_table_rejects_nan_weights():
             LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), p)
 
 
+def test_link_weight_table_rejects_self_weights():
+    # The weight engine reads the nonzero entries of p_hat as the heard
+    # pairs, so a self weight would reach it as a self pair.
+    p = np.array([[0.3, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="self counts and weights must be zero"):
+        LinkWeightTable(np.zeros((2, 2), np.int64), np.zeros(2, np.int64), p)
+
+
 def test_link_weight_subset_and_io(tmp_path):
     dep = generate_deployment("uniform-iid", 12, Region(200, 200), 6)
     table = simulate_hello(dep, ChannelParams(0.05, 4.0, 1e-10, 4.0, 0.3, slots=300), 6)

@@ -222,9 +222,17 @@ def test_engine_matches_dense_reference(termination, timeout_rounds, suppress):
     for label, dep in deps:
         want = reference_minmax(distance_matrix(dep), "distance", lambda t: t.copy(), **options)
         assert_same_run(run_range_algorithm(dep, **options), want, label)
-    weights = hello_seed0_weights()
-    want = reference_minmax(-weights.p_hat.T, "discrit", lambda t: -t, **options)
-    assert_same_run(run_discrit(weights, **options), want, "hello-seed0-weights")
+    # The Hello table is sparse; four in five entries of the criterion-5
+    # table are nonzero, so the engine's key <= kmax cut picks the pairs.
+    # In the one-way table node 0 hears node 1, but 1 never hears 0.
+    one_way = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    tables = [("hello-seed0-weights", hello_seed0_weights()),
+              ("criterion5-exp-d", synthetic_weights(
+                  generate_deployment("uniform-iid", 300, Region(1000, 1000), 0))),
+              ("one-way", LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), one_way))]
+    for label, weights in tables:
+        want = reference_minmax(-weights.p_hat.T, "discrit", lambda t: -t, **options)
+        assert_same_run(run_discrit(weights, **options), want, label)
 
 
 def test_trace_csv(tmp_path):
