@@ -9,7 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from discrit.channel import DEFAULT_CHANNEL, simulate_hello
+from discrit.channel import ChannelParams, simulate_hello
 from discrit.geometry import Region, generate_deployment, interior_nodes, save_csv
 from discrit.graphs import critical_radius, degree1_radius, disparity
 from discrit.protocol import run_discrit
@@ -17,7 +17,7 @@ from discrit.protocol import run_discrit
 
 def rows_for_kind(kind, n, region, seed, margin_frac):
     dep = generate_deployment(kind, n, region, seed)
-    weights = simulate_hello(dep, DEFAULT_CHANNEL, seed)
+    weights = simulate_hello(dep, ChannelParams(), seed)
     margin = margin_frac * min(region.width, region.height)
     out = []
     for scope, ids in (("all", range(dep.n)), ("interior", interior_nodes(dep, margin))):

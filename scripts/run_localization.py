@@ -8,11 +8,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from discrit.channel import DEFAULT_CHANNEL, simulate_hello
+from discrit.channel import ChannelParams, simulate_hello
 from discrit.geometry import Region, generate_deployment
-from discrit.graphs import component_labels, critical_radius, induced_subgraph
+from discrit.graphs import critical_radius, giant_component, induced_subgraph
 from discrit.localize import corner_beacons, error_pattern, save_error_pattern_csv
 from discrit.protocol import run_discrit
 
@@ -35,10 +33,9 @@ def main():
     print(f"critical graph: mean error {exact.mean_error:.1f} m "
           f"(interior {exact.interior_mean_error:.1f} m, r_crit {rc:.1f} m)")
 
-    weights = simulate_hello(dep, DEFAULT_CHANNEL, args.seed)
+    weights = simulate_hello(dep, ChannelParams(), args.seed)
     ghat, _ = run_discrit(weights)
-    labels = component_labels(ghat)
-    giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+    giant = giant_component(ghat)
     sub = dep.subset(giant)
     approx = error_pattern(sub, corner_beacons(sub), induced_subgraph(ghat, giant))
     save_error_pattern_csv(approx, outdir / "errors_protocol.csv")

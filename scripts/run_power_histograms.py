@@ -29,8 +29,7 @@ def main():
     for n in args.sizes:
         dep = generate_deployment("uniform-iid", n, region, args.seed)
         for eta in args.etas:
-            params = ChannelParams(p_t=0.05, eta=eta, sigma2=1e-10, beta=4.0,
-                                   alpha=args.alpha, slots=args.slots)
+            params = ChannelParams(eta=eta, alpha=args.alpha, slots=args.slots)
             hist = received_power_histogram(dep, params, args.seed, args.annuli)
             path = outdir / f"power_n{n}_eta{eta:g}.csv"
             save_power_histograms(hist, path)

@@ -8,13 +8,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from discrit.channel import DEFAULT_CHANNEL, simulate_hello
+from discrit.channel import ChannelParams, simulate_hello
 from discrit.geometry import Region, generate_deployment
-from discrit.graphs import component_labels, critical_radius, induced_subgraph
+from discrit.graphs import critical_radius, giant_component, induced_subgraph
 from discrit.protocol import run_discrit
-from discrit.selforg import DEFAULT_SELFORG, find_h_opt, save_psi_csv
+from discrit.selforg import SelfOrgParams, find_h_opt, save_psi_csv
 
 
 def main():
@@ -32,18 +30,17 @@ def main():
     region = Region(1000.0, 1000.0)
     dep = generate_deployment("uniform-iid", args.n, region, args.seed)
     _, cgg = critical_radius(dep)
-    h_opt, rows = find_h_opt(dep, cgg, DEFAULT_SELFORG, args.h_max, args.seed)
+    params = SelfOrgParams(h_max=args.h_max)
+    h_opt, rows = find_h_opt(dep, cgg, params, args.seed)
     save_psi_csv(rows, outdir / "psi_critical.csv")
     print(f"critical graph: h_opt = {h_opt}")
 
     if args.protocol_graph:
-        weights = simulate_hello(dep, DEFAULT_CHANNEL, args.seed)
+        weights = simulate_hello(dep, ChannelParams(), args.seed)
         ghat, _ = run_discrit(weights)
-        labels = component_labels(ghat)
-        giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+        giant = giant_component(ghat)
         sub = dep.subset(giant)
-        h_opt2, rows2 = find_h_opt(sub, induced_subgraph(ghat, giant),
-                                   DEFAULT_SELFORG, args.h_max, args.seed)
+        h_opt2, rows2 = find_h_opt(sub, induced_subgraph(ghat, giant), params, args.seed)
         save_psi_csv(rows2, outdir / "psi_protocol.csv")
         print(f"protocol graph (giant component, {giant.size} nodes): h_opt = {h_opt2}")
     print(f"wrote {outdir}/")

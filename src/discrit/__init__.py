@@ -21,7 +21,7 @@ from .graphs import (
     induced_subgraph,
 )
 from .channel import (
-    ChannelParams, LinkWeightTable, DEFAULT_CHANNEL, EmpiricalCDF,
+    ChannelParams, LinkWeightTable, EmpiricalCDF,
     simulate_hello, predict_p, received_power_histogram, homogeneity_check,
     total_variation,
 )
@@ -30,7 +30,7 @@ from .protocol import (
 )
 from .discretize import RhoStats, rho_stats, rho_trend
 from .selforg import (
-    SelfOrgParams, DEFAULT_SELFORG, theoretical_psi, optimal_hop_length,
+    SelfOrgParams, theoretical_psi, optimal_hop_length,
     build_h_hop_topology, simulate_transport_capacity, find_h_opt,
     aloha_contention_constant,
 )

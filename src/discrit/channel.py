@@ -42,16 +42,20 @@ class ChannelParams:
     path-loss exponent, sigma2 the noise variance (watts), beta the SINR
     decoding threshold, alpha the per-slot transmit probability and
     slots the number of Hello slots to simulate.
+
+    The defaults are pinned for n=1000 in a 1000 m x 1000 m region: the
+    reception probability transitions through its steep region around
+    the largest nearest-neighbour distance scale.
     """
 
-    p_t: float
-    eta: float
-    sigma2: float
-    beta: float
-    alpha: float
+    p_t: float = 0.05
+    eta: float = 4.0
+    sigma2: float = 1e-10
+    beta: float = 4.0
+    alpha: float = 0.10
     fading: str = "deterministic"
     fading_mean: float = 1.0
-    slots: int = 1000
+    slots: int = 5000
 
     def __post_init__(self):
         if self.p_t <= 0:
@@ -70,15 +74,6 @@ class ChannelParams:
             raise ValueError(f"fading_mean must be > 0, got {self.fading_mean}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
-
-
-# Pinned repo defaults for quantitative experiments at n=1000 in a
-# 1000 m x 1000 m region: the reception probability transitions through
-# its steep region around the largest nearest-neighbour distance scale.
-DEFAULT_CHANNEL = ChannelParams(
-    p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10,
-    fading="deterministic", fading_mean=1.0, slots=5000,
-)
 
 
 @dataclass(eq=False)

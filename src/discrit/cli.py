@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .channel import save_link_weights, simulate_hello
+from .channel import ChannelParams, save_link_weights, simulate_hello
 from .discretize import rho_stats, save_rho_histogram_csv
 from .geometry import (
     Region, generate_deployment, interior_nodes, save_csv, save_deployment_json,
@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .localize import corner_beacons, error_pattern, save_error_pattern_csv
 from .protocol import run_discrit, run_range_algorithm, trace_to_csv
-from .selforg import find_h_opt, save_psi_csv
+from .selforg import SelfOrgParams, find_h_opt, save_psi_csv
 
 STAGE_ORDER = ("deploy", "hello", "protocol", "eval", "discretize", "selforg", "localize")
 
@@ -83,6 +83,11 @@ class _SeedRun:
             self._cgg = critical_radius(self.dep)[1]
         return self._cgg
 
+    def margin(self) -> float:
+        """interior_margin in meters: one definition of "interior" for every stage."""
+        return self.doc.get("interior_margin", 0.1) * min(self.dep.region.width,
+                                                          self.dep.region.height)
+
     def deploy(self):
         self.dep = generate_deployment(
             self.doc["deployment"]["kind"], self.doc["deployment"]["n"],
@@ -94,7 +99,7 @@ class _SeedRun:
         self.artifacts += [csv_path, json_path]
 
     def hello(self):
-        params = config_mod.channel_from_config(self.doc)
+        params = ChannelParams(**self.doc.get("channel", {}))
         self.weights = simulate_hello(self.dep, params, self.seed)
         self.artifacts += save_link_weights(self.weights, self.dir / "hello")
 
@@ -120,8 +125,6 @@ class _SeedRun:
         return graph
 
     def eval(self):
-        margin_frac = self.doc.get("interior_margin", 0.1)
-        margin = margin_frac * min(self.dep.region.width, self.dep.region.height)
         kind = self.doc["deployment"]["kind"]
         cgg = self.cgg()
         _, g1 = degree1_radius(self.dep)
@@ -132,7 +135,7 @@ class _SeedRun:
             rows.append([self.seed, kind, "all", "protocol", name,
                          disparity(self.protocol_graph, ref),
                          disparity(ref, self.protocol_graph)])
-        ids = interior_nodes(self.dep, margin)
+        ids = interior_nodes(self.dep, self.margin())
         if ids.size >= 2:
             sub = self.dep.subset(ids)
             proto_i = self._interior_protocol(ids, sub)
@@ -152,18 +155,15 @@ class _SeedRun:
         self.artifacts += [hist_path, summary_path]
 
     def selforg(self):
-        params, h_max = config_mod.selforg_from_config(self.doc)
-        _, rows = find_h_opt(self.dep, self.cgg(), params, h_max, self.seed)
+        params = SelfOrgParams(**self.doc.get("selforg", {}))
+        _, rows = find_h_opt(self.dep, self.cgg(), params, self.seed)
         path = self.dir / "psi.csv"
         save_psi_csv(rows, path)
         self.artifacts.append(path)
 
     def localize(self):
         graph = self.protocol_graph if _localize_graph(self.doc) == "protocol" else self.cgg()
-        margin = self.doc.get("localize", {}).get("margin")  # fraction of the smaller region side
-        if margin is not None:
-            margin = margin * min(self.dep.region.width, self.dep.region.height)
-        pattern = error_pattern(self.dep, corner_beacons(self.dep), graph, margin=margin)
+        pattern = error_pattern(self.dep, corner_beacons(self.dep), graph, margin=self.margin())
         path = self.dir / "localization.csv"
         save_error_pattern_csv(pattern, path)
         self.artifacts.append(path)
@@ -238,14 +238,15 @@ def _build_config(args) -> dict:
     return config_mod.validate_config(doc)
 
 
+# Each command's target stage; resolve_stages adds its dependencies.
 COMMAND_STAGES = {
-    "deploy": ("deploy",),
-    "hello": ("deploy", "hello"),
-    "discrit": ("deploy", "hello", "protocol"),
-    "eval": ("deploy", "protocol", "eval"),
-    "discretize": ("deploy", "discretize"),
-    "selforg": ("deploy", "selforg"),
-    "localize": ("deploy", "localize"),
+    "deploy": "deploy",
+    "hello": "hello",
+    "discrit": "protocol",
+    "eval": "eval",
+    "discretize": "discretize",
+    "selforg": "selforg",
+    "localize": "localize",
     "pipeline": None,  # derived from the config blocks
 }
 
@@ -283,8 +284,8 @@ def main(argv=None) -> int:
         doc = _build_config(args)
         if args.command == "discrit":
             doc.setdefault("protocol", {})["mode"] = "discrit"
-        stages = COMMAND_STAGES[args.command]
-        return run_pipeline(doc, stages=stages)
+        target = COMMAND_STAGES[args.command]
+        return run_pipeline(doc, stages=None if target is None else [target])
     except Exception as exc:
         print(f"discrit: error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -19,8 +18,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import DEFAULT_CHANNEL, ChannelParams
-from .selforg import DEFAULT_SELFORG, SelfOrgParams
 
 OUTPUT_DIR_ENV = "DISCRIT_OUTPUT_DIR"
 
@@ -101,8 +98,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                # fraction of the smaller region side, like interior_margin
-                "margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
                 "graph": {"enum": ["critical", "protocol"]},
             },
         },
@@ -121,16 +116,6 @@ def validate_config(doc: dict) -> dict:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
     return doc
-
-
-def channel_from_config(doc: dict) -> ChannelParams:
-    return replace(DEFAULT_CHANNEL, **doc.get("channel", {}))
-
-
-def selforg_from_config(doc: dict) -> tuple[SelfOrgParams, int]:
-    block = dict(doc.get("selforg", {}))
-    h_max = block.pop("h_max", 8)
-    return replace(DEFAULT_SELFORG, **block), h_max
 
 
 def config_hash(doc: dict) -> str:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .geometry import Deployment, Region, generate_deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, critical_radius, hop_matrix
@@ -107,7 +107,7 @@ def _half_width(values) -> float | None:
     if k < 2:
         return None
     sd = float(np.std(values, ddof=1))
-    return float(stats.t.ppf(0.975, k - 1) * sd / math.sqrt(k))
+    return float(stdtrit(k - 1, 0.975) * sd / math.sqrt(k))
 
 
 def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,

@@ -114,10 +114,13 @@ def is_connected(g: EdgeGraph) -> bool:
     return connected_components(g._csr, directed=False, return_labels=False) == 1
 
 
-def component_labels(g: EdgeGraph) -> np.ndarray:
-    """Connected-component label per node, numbered 0..k-1 in order of
-    each component's lowest node id."""
-    return connected_components(g._csr, directed=False)[1].astype(np.int64)
+def giant_component(g: EdgeGraph) -> np.ndarray:
+    """Ascending ids of the largest connected component; of equally large
+    ones, the component holding the lowest node id."""
+    # labels are numbered in order of each component's lowest node id,
+    # and argmax returns the first maximum
+    labels = connected_components(g._csr, directed=False)[1]
+    return np.flatnonzero(labels == np.bincount(labels).argmax())
 
 
 def critical_radius(dep: Deployment) -> tuple[float, EdgeGraph]:

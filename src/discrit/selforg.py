@@ -27,16 +27,22 @@ class SelfOrgParams:
     to calibrate from the Aloha success rate of the simulated MAC
     (n_active * q * (1-q)^(n_active-1) * w). q is the per-slot channel
     attempt probability of each saturated node and w the bandwidth (Hz).
+    find_h_opt scores the h-hop topologies for h = 1..h_max.
+
+    The defaults are pinned for n=1000 in a 1000 m x 1000 m region: the
+    optimal hop length lands a few critical-graph hops out, so the
+    argmax over h is interior.
     """
 
-    alpha0: float
-    p_t: float
-    sigma2: float
-    eta: float
-    w: float
-    q: float
+    alpha0: float = 1.0
+    p_t: float = 0.1
+    sigma2: float = 2.33e-6
+    eta: float = 2.0
+    w: float = 1e6
+    q: float = 0.001
     slots: int = 20000
     a: float | None = None
+    h_max: int = 8
 
     def __post_init__(self):
         for name in ("alpha0", "p_t", "sigma2", "eta", "w"):
@@ -47,14 +53,14 @@ class SelfOrgParams:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
+        if self.h_max < 1:
+            raise ValueError(f"h_max must be >= 1, got {self.h_max}")
 
 
-# Pinned defaults for the n=1000 / 1 km x 1 km experiments: the optimal
-# hop length lands a few critical-graph hops out, so the argmax over h
-# is interior.
-DEFAULT_SELFORG = SelfOrgParams(
-    alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001, slots=20000,
-)
+# Attempt indicators drawn per chunk of MAC slots. The chunk size sets
+# where the destination draws interleave with the attempt draws, so it is
+# part of the seed contract: changing it changes every psi_sim.
+MAC_CHUNK_DRAWS = 2_000_000
 
 
 def aloha_contention_constant(n_active: int, q: float, w: float) -> float:
@@ -129,16 +135,17 @@ def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: 
     probability q; a slot carries traffic iff exactly one node attempts,
     and the winner sends to a uniformly random topology neighbour,
     crediting d * w * log(1 + alpha0 p_t / (d^eta sigma2)) bit-meters.
-    Returns total bit-meters per slot. Draw order: all attempt
-    indicators for all slots, then one destination draw per successful
-    slot; a winner's neighbours are taken in ascending id order.
+    Returns total bit-meters per slot. Draw order: the slots run in
+    chunks of MAC_CHUNK_DRAWS // (number of contenders); each chunk draws
+    its attempt indicators, then one destination per successful slot of
+    that chunk. A winner's neighbours are taken in ascending id order.
     """
     csr = topology._csr
     deg = np.diff(csr.indptr)
     active = np.flatnonzero(deg)
     rng = np.random.default_rng(seed)
     total = 0.0
-    chunk = max(1, min(p.slots, 2_000_000 // max(active.size, 1)))
+    chunk = max(1, min(p.slots, MAC_CHUNK_DRAWS // max(active.size, 1)))
     done = 0
     while done < p.slots:
         m = min(chunk, p.slots - done)
@@ -177,25 +184,23 @@ class PsiRow:
     psi_theory: float
 
 
-def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams, h_max: int,
+def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
                seed: int) -> tuple[int, list]:
-    """Simulated capacity for h = 1..h_max and the maximising h.
+    """Simulated capacity for h = 1..p.h_max and the maximising h.
 
     Ties break toward smaller h. Each row carries the mean hop length of
     T_h and the theoretical capacity there, with the contention constant
     calibrated from the number of contending nodes unless params.a is
     set. Empty topologies score zero.
     """
-    if h_max < 1:
-        raise ValueError(f"h_max must be >= 1, got {h_max}")
     if g_base.n != dep.n:
         raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
     hops = hop_matrix(g_base)
-    child_seeds = np.random.SeedSequence(seed).spawn(h_max)
+    child_seeds = np.random.SeedSequence(seed).spawn(p.h_max)
     rows = []
-    for h in range(1, h_max + 1):
+    for h in range(1, p.h_max + 1):
         topology = _h_hop_topology(hops, h)
         if not topology.num_edges:
             rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))

@@ -6,6 +6,7 @@ before asserting, so the verdict survives an assertion failure.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from discrit.cli import run_pipeline
 from discrit.discretize import rho_trend
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
-    component_labels, critical_radius, degree1_radius, disparity,
+    critical_radius, degree1_radius, disparity, giant_component,
     graph_diameter, induced_subgraph, is_connected,
 )
 from discrit.localize import corner_beacons, error_pattern
@@ -243,7 +244,7 @@ def test_criterion_10_rho_spread_shrinks_with_n():
 def test_criterion_11_transport_capacity_theory_match():
     dep = generate_deployment("uniform-iid", 1000, KM, 0)
     _, cgg = critical_radius(dep)
-    h_opt, rows = find_h_opt(dep, cgg, SELFORG, 8, seed=0)
+    h_opt, rows = find_h_opt(dep, cgg, replace(SELFORG, h_max=8), seed=0)
     dense = [r for r in rows if r.n_edges >= 100]
     worst = max(abs(r.psi_sim - r.psi_theory) / r.psi_theory for r in dense)
     theory_argmax = max(dense, key=lambda r: r.psi_theory).h
@@ -265,8 +266,7 @@ def test_criterion_12_localization_error_gates():
         exact_pat = error_pattern(dep, corner_beacons(dep), cgg)
         weights = simulate_hello(dep, HELLO, seed)
         ghat, _ = run_discrit(weights)
-        labels = component_labels(ghat)
-        giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+        giant = giant_component(ghat)
         sub = dep.subset(giant)
         ghat_giant = induced_subgraph(ghat, giant)
         discrit_pat = error_pattern(sub, corner_beacons(sub), ghat_giant)

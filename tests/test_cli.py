@@ -1,11 +1,18 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import discrit
+from discrit.channel import ChannelParams
 from discrit.cli import compare_graphs, main, run_pipeline
-from discrit.config import ConfigError, config_hash, selforg_from_config, validate_config
+from discrit.config import CONFIG_SCHEMA, ConfigError, config_hash, validate_config
 from discrit.graphs import EdgeGraph, save_graph
+from discrit.selforg import SelfOrgParams
 
 
 def minimal_config(tmp_path, **extra):
@@ -92,12 +99,48 @@ def test_invalid_config_rejected(tmp_path):
 
 def test_selforg_q_bound_matches_params(tmp_path):
     # SelfOrgParams accepts q = 1 (every slot collides), so the schema does too.
-    params, h_max = selforg_from_config(validate_config(minimal_config(tmp_path, selforg={"q": 1})))
-    assert params.q == 1 and h_max == 8
+    doc = validate_config(minimal_config(tmp_path, selforg={"q": 1}))
+    params = SelfOrgParams(**doc["selforg"])
+    assert params.q == 1 and params.h_max == 8
     with pytest.raises(ConfigError, match="selforg/q"):
         validate_config(minimal_config(tmp_path, selforg={"q": 1.01}))
     with pytest.raises(ValueError, match="q must be"):  # the params still validate
-        selforg_from_config({"selforg": {"q": 0}})
+        SelfOrgParams(q=0)
+
+
+def test_config_blocks_are_param_fields():
+    # A block is the keyword set of its constructor, so a key the schema
+    # accepts always reaches the params, and no field lacks a key.
+    for block, cls in (("channel", ChannelParams), ("selforg", SelfOrgParams)):
+        keys = set(CONFIG_SCHEMA["properties"][block]["properties"])
+        assert keys == {f.name for f in dataclasses.fields(cls)}, block
+
+
+def test_param_defaults_match_readme():
+    # The values README.md lists under "Defaults"; the field defaults are
+    # the only copy of them in the code.
+    assert ChannelParams() == ChannelParams(
+        p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.1,
+        fading="deterministic", fading_mean=1.0, slots=5000)
+    assert SelfOrgParams() == SelfOrgParams(
+        alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
+        slots=20000, a=None, h_max=8)
+    with pytest.raises(ValueError, match="h_max must be"):
+        SelfOrgParams(h_max=0)
+
+
+def test_localize_margin_key_rejected(tmp_path):
+    # interior_margin alone defines the interior for every stage.
+    with pytest.raises(ConfigError, match="localize"):
+        validate_config(minimal_config(tmp_path, localize={"margin": 0.1}))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(discrit.__file__).resolve().parent.parent)
+    code = "import sys, discrit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_main_deploy_and_flags(tmp_path, capsys):

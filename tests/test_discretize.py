@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import line_deployment
-from discrit.discretize import rho_stats, rho_trend, save_trend_csv
+from discrit.discretize import _half_width, rho_stats, rho_trend, save_trend_csv
 from discrit.geometry import Region, generate_deployment
 from discrit.graphs import build_gg, critical_radius
 
@@ -98,3 +101,14 @@ def test_trend_deterministic_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,var_rho,cv_rho,ci_var,ci_cv"
     assert len(lines) == 3
+
+
+def test_half_width_matches_t_ppf():
+    # stdtrit is the quantile scipy.stats.t.ppf evaluates, without the
+    # import cost of scipy.stats.
+    rng = np.random.default_rng(0)
+    for k in (2, 3, 5, 10, 30, 100, 500):
+        values = rng.normal(size=k)
+        sd = float(np.std(values, ddof=1))
+        assert _half_width(values) == float(stats.t.ppf(0.975, k - 1) * sd / math.sqrt(k))
+    assert _half_width([1.0]) is None

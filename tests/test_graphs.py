@@ -11,8 +11,8 @@ from conftest import (
 )
 from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
-    EdgeGraph, UNBOUNDED, build_gg, component_labels, critical_radius,
-    degree1_radius, disparity, graph_diameter, hop_distances, hop_matrix,
+    EdgeGraph, UNBOUNDED, build_gg, critical_radius,
+    degree1_radius, disparity, giant_component, graph_diameter, hop_distances, hop_matrix,
     induced_subgraph, is_connected, load_graph, save_graph,
 )
 
@@ -152,21 +152,22 @@ def test_critical_radius_matches_union_find_reference():
     assert critical_radius(cases[-1])[0] == 5.0
 
 
-def test_component_labels():
+def test_giant_component():
     two = EdgeGraph(6, frozenset([(0, 2), (2, 4), (1, 3)]))  # node 5 isolated
-    labels = component_labels(two)
-    assert labels.tolist() == [0, 1, 0, 1, 0, 2]
+    assert giant_component(two).tolist() == [0, 2, 4]
     assert not is_connected(two)
     assert two.degrees().tolist() == [1, 1, 2, 1, 1, 0]
-    giant = np.flatnonzero(labels == np.bincount(labels).argmax())
-    assert giant.tolist() == [0, 2, 4]
+    # equal sizes: the component holding the lowest node id wins
+    tied = EdgeGraph(6, frozenset([(1, 2), (3, 5), (4, 0)]))
+    assert giant_component(tied).tolist() == [0, 4]
+    assert giant_component(EdgeGraph(5, frozenset([(2, 4), (1, 3)]))).tolist() == [1, 3]
 
     empty = EdgeGraph(3, frozenset())
-    assert component_labels(empty).tolist() == [0, 1, 2]
+    assert giant_component(empty).tolist() == [0]
     assert not is_connected(empty)
     assert empty.degrees().tolist() == [0, 0, 0]
     assert is_connected(path_graph(4))
-    assert component_labels(path_graph(4)).tolist() == [0, 0, 0, 0]
+    assert giant_component(path_graph(4)).tolist() == [0, 1, 2, 3]
 
 
 def test_hop_matrix_is_computed_once_and_read_only():

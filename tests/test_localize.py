@@ -11,7 +11,7 @@ from conftest import (
 )
 from discrit.geometry import Region, generate_deployment
 from discrit.graphs import (
-    EdgeGraph, component_labels, critical_radius, hop_distances, induced_subgraph,
+    EdgeGraph, critical_radius, giant_component, hop_distances, induced_subgraph,
 )
 from discrit import localize
 from discrit.localize import (
@@ -214,8 +214,7 @@ def solver_case(label):
     32 x 32 grid, or on the protocol giant component of hello_seed0_weights."""
     if label == "protocol-giant":
         g, _ = run_discrit(hello_seed0_weights())
-        labels = component_labels(g)
-        giant = np.flatnonzero(labels == np.bincount(labels).argmax())
+        giant = giant_component(g)
         dep, g = edge_format_deployments()[0][1].subset(giant), induced_subgraph(g, giant)
     elif label == "grid-32x32":
         dep = edge_format_deployments()[3][1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_h_hop_topology_matches_reference():
     for label, dep, _, _ in edge_format_cases():
         cgg = critical_radius(dep)[1]
         hops, dist = hop_matrix(cgg), distance_matrix(dep)
-        _, rows = find_h_opt(dep, cgg, P, h_max, seed=0)
+        _, rows = find_h_opt(dep, cgg, replace(P, h_max=h_max), seed=0)
         child_seeds = np.random.SeedSequence(0).spawn(h_max)
         for h, row in zip(range(1, h_max + 1), rows):
             topology = build_h_hop_topology(cgg, h)
@@ -109,7 +110,7 @@ def test_h_hop_topology_matches_reference():
         assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, 5), label
     # Past the diameter T_h is empty and scores zero.
     dep = line_deployment([100.0, 200.0, 300.0], side=1000.0)
-    _, rows = find_h_opt(dep, path_graph(3), P, 3, seed=0)
+    _, rows = find_h_opt(dep, path_graph(3), replace(P, h_max=3), seed=0)
     assert [(r.n_edges, r.n_active) for r in rows] == [(2, 3), (1, 2), (0, 0)]
     assert rows[2].psi_sim == 0.0 and math.isnan(rows[2].mean_hop_len)
 
@@ -118,7 +119,7 @@ def test_disconnected_base_graph_rejected():
     dep = line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0)
     _, g1 = degree1_radius(dep)
     with pytest.raises(ValueError, match="base graph must be connected"):
-        find_h_opt(dep, g1, P, 2, seed=0)
+        find_h_opt(dep, g1, replace(P, h_max=2), seed=0)
     with pytest.raises(ValueError, match="base graph must be connected"):
         simulate_transport_capacity(dep, g1, 1, P, seed=0)
 
@@ -128,7 +129,7 @@ def test_find_h_opt_rejects_node_count_mismatch():
     _, g = critical_radius(generate_deployment("uniform-iid", 200, region, 0))
     dep = generate_deployment("uniform-iid", 300, region, 0)
     with pytest.raises(ValueError, match="graph has 200 nodes, deployment has 300"):
-        find_h_opt(dep, g, P, 2, seed=0)
+        find_h_opt(dep, g, replace(P, h_max=2), seed=0)
 
 
 def test_two_node_aloha_closed_form():
@@ -162,7 +163,7 @@ def test_empty_topology_error():
 def test_find_h_opt_hmax_one():
     dep = generate_deployment("uniform-iid", 60, Region(1000, 1000), 3)
     _, cgg = critical_radius(dep)
-    h_opt, rows = find_h_opt(dep, cgg, P, 1, seed=0)
+    h_opt, rows = find_h_opt(dep, cgg, replace(P, h_max=1), seed=0)
     assert h_opt == 1 and len(rows) == 1
 
 
@@ -172,7 +173,7 @@ def test_find_h_opt_noisy_channel_prefers_single_hop():
                           q=0.01, slots=4000)
     dep = generate_deployment("uniform-iid", 80, Region(1000, 1000), 4)
     _, cgg = critical_radius(dep)
-    h_opt, rows = find_h_opt(dep, cgg, noisy, 4, seed=1)
+    h_opt, rows = find_h_opt(dep, cgg, replace(noisy, h_max=4), seed=1)
     assert h_opt == 1
     assert all(r.psi_sim >= 0 for r in rows)
 
@@ -180,8 +181,8 @@ def test_find_h_opt_noisy_channel_prefers_single_hop():
 def test_find_h_opt_deterministic():
     dep = generate_deployment("uniform-iid", 60, Region(1000, 1000), 5)
     _, cgg = critical_radius(dep)
-    a = find_h_opt(dep, cgg, P, 3, seed=7)
-    b = find_h_opt(dep, cgg, P, 3, seed=7)
+    a = find_h_opt(dep, cgg, replace(P, h_max=3), seed=7)
+    b = find_h_opt(dep, cgg, replace(P, h_max=3), seed=7)
     assert a[0] == b[0]
     assert [(r.psi_sim, r.psi_theory) for r in a[1]] == [(r.psi_sim, r.psi_theory) for r in b[1]]
 
