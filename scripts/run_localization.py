@@ -19,6 +19,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--margin", type=float, default=0.1, help="interior margin fraction")
     ap.add_argument("--outdir", default="localization")
     args = ap.parse_args()
 
@@ -26,9 +27,10 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     region = Region(1000.0, 1000.0)
     dep = generate_deployment("uniform-iid", args.n, region, args.seed)
+    margin = args.margin * min(region.width, region.height)
 
     rc, cgg = critical_radius(dep)
-    exact = error_pattern(dep, corner_beacons(dep), cgg)
+    exact = error_pattern(dep, corner_beacons(dep), cgg, margin)
     save_error_pattern_csv(exact, outdir / "errors_critical.csv")
     print(f"critical graph: mean error {exact.mean_error:.1f} m "
           f"(interior {exact.interior_mean_error:.1f} m, r_crit {rc:.1f} m)")
@@ -37,7 +39,7 @@ def main():
     ghat, _ = run_discrit(weights)
     giant = giant_component(ghat)
     sub = dep.subset(giant)
-    approx = error_pattern(sub, corner_beacons(sub), induced_subgraph(ghat, giant))
+    approx = error_pattern(sub, corner_beacons(sub), induced_subgraph(ghat, giant), margin)
     save_error_pattern_csv(approx, outdir / "errors_protocol.csv")
     print(f"protocol graph: mean error {approx.mean_error:.1f} m "
           f"(interior {approx.interior_mean_error:.1f} m, giant {giant.size} nodes)")

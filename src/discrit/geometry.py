@@ -123,6 +123,13 @@ def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deploym
     return Deployment(pos, kind, region, seed)
 
 
+def _length(dx, dy) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), computed in the arrays dx and dy, which it overwrites."""
+    dx *= dx
+    dy *= dy
+    return np.sqrt(np.add(dx, dy, out=dx), out=dx)
+
+
 def distance_matrix(dep: Deployment) -> np.ndarray:
     """Full (n, n) Euclidean distance matrix.
 
@@ -131,20 +138,15 @@ def distance_matrix(dep: Deployment) -> np.ndarray:
     evaluation of that formula (ties matter when a radius equals a
     pairwise distance exactly).
     """
-    x = dep.positions[:, 0]
-    y = dep.positions[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    return np.sqrt(dx * dx + dy * dy)
+    x, y = dep.positions.T
+    return _length(x[:, None] - x[None, :], y[:, None] - y[None, :])
 
 
 def pair_distances(dep: Deployment, i, j) -> np.ndarray:
     """Distances between nodes i[k] and j[k], bit-equal to
     ``distance_matrix(dep)[i, j]`` without building the matrix."""
-    x, y = dep.positions[:, 0], dep.positions[:, 1]
-    dx = x[i] - x[j]
-    dy = y[i] - y[j]
-    return np.sqrt(dx * dx + dy * dy)
+    x, y = dep.positions.T
+    return _length(x[i] - x[j], y[i] - y[j])
 
 
 def interior_nodes(dep: Deployment, margin: float) -> np.ndarray:

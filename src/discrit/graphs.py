@@ -1,10 +1,10 @@
 """Centralised graph constructions and oracles.
 
 Geometric graphs use the closed-ball rule: edge (i, j) present iff
-d_ij <= r. Hop distances are unit-weight shortest paths, returned as
-read-only int64 arrays in which -1 marks an unreachable pair.
-``graph_diameter`` reports a disconnected graph with the ``UNBOUNDED``
-marker.
+d_ij <= r; a KD-tree proposes pairs, and their exact lengths decide.
+The hop layer (``hop_matrix``, cached per graph, and ``hop_distances``)
+is a bit-parallel multi-source BFS giving read-only int64 arrays, -1 for
+unreachable pairs. ``graph_diameter`` of a disconnected graph is ``UNBOUNDED``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix, save_csv, subset_ids
+from .geometry import Deployment, distance_matrix, pair_distances, save_csv, subset_ids
 
 
 class _Marker:
@@ -88,26 +89,56 @@ class EdgeGraph:
         return bool(np.any((self.edges[:, 0] == min(i, j)) & (self.edges[:, 1] == max(i, j))))
 
 
+BFS_BLOCK = 512  # sources per pass of the multi-source BFS, one bit each
+
+
 def _bfs_hops(g: EdgeGraph, sources=None) -> np.ndarray:
     """Read-only int64 hop counts from ``sources`` (every node if None)
-    to every node, one row per source; -1 = unreachable."""
-    dist = shortest_path(g._csr, method="D", directed=False, unweighted=True, indices=sources)
-    dist[np.isinf(dist)] = -1
-    hops = dist.astype(np.int64)
+    to every node, one row per source; -1 = unreachable. Multi-source BFS
+    (Then et al., VLDB 2014): a node's count is the number of levels at
+    which its bit was unseen, kept in bit-sliced counter planes."""
+    src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.intp)
+    indptr, indices = g._csr.indptr, g._csr.indices
+    # reduceat gives an empty segment its first element, not 0: skip isolated nodes
+    live = np.flatnonzero(np.diff(indptr))
+    hops = np.empty((src.size, g.n), dtype=np.int64)
+    for lo in range(0, src.size, BFS_BLOCK):
+        block = src[lo:lo + BFS_BLOCK]
+        k = np.arange(block.size)
+        seen = np.zeros((g.n, -(-block.size // 64)), dtype=np.uint64)
+        # .at, because a source may be given twice
+        np.bitwise_or.at(seen, (block, k >> 6), np.uint64(1) << k.astype(np.uint64) % 64)
+        front, planes = seen, []
+        while front.any():
+            carry = ~seen  # ripple-add 1 to the counter of every unseen bit
+            for plane in planes:
+                plane ^= carry
+                carry &= ~plane
+            if carry.any():
+                planes.append(carry)
+            reached = np.zeros_like(seen)
+            reached[live] = np.bitwise_or.reduceat(np.take(front, indices, axis=0), indptr[live], axis=0)
+            front = reached & ~seen
+            seen = seen | front
+        bits = lambda w: np.unpackbits(w.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                       bitorder="little")[:, :block.size]
+        count = sum(bits(plane).astype(np.int32) << e for e, plane in enumerate(planes))
+        hops[lo:lo + block.size] = np.where(bits(seen) == 1, count, -1).T
     hops.setflags(write=False)
     return hops
 
 
-def _gg(d: np.ndarray, r: float) -> EdgeGraph:
-    """Geometric graph of radius r (closed ball) over distance matrix d."""
-    return EdgeGraph(len(d), np.argwhere(np.triu(d <= r, 1)), radius=float(r))
-
-
 def build_gg(dep: Deployment, r: float) -> EdgeGraph:
-    """Geometric graph of radius r (closed ball)."""
+    """Geometric graph of radius r (closed ball).
+
+    A KD-tree proposes pairs at a slightly larger radius, because its own
+    squared-distance test can drop a pair of length exactly r; their
+    lengths from pair_distances, with distance_matrix's bits, decide.
+    """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    return _gg(distance_matrix(dep), r)
+    pairs = cKDTree(dep.positions).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    return EdgeGraph(dep.n, pairs[pair_distances(dep, pairs[:, 0], pairs[:, 1]) <= r], radius=float(r))
 
 
 def is_connected(g: EdgeGraph) -> bool:
@@ -129,8 +160,8 @@ def critical_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     That is the longest edge of a minimum spanning tree, grown here by
     dense Prim's algorithm: ``near`` holds each outside node's distance
     to the tree, and nodes already in it are kept at infinity. The
-    returned graph is the full geometric graph at that radius, cut from
-    the same matrix, so exact ties keep every edge of length r.
+    returned graph is the full geometric graph at that radius, so exact
+    ties keep every edge of length r.
     """
     d = distance_matrix(dep)
     near = d[0].copy()
@@ -142,18 +173,22 @@ def critical_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
         near[joined] = np.inf
         k = int(np.argmin(near))
         r_crit = max(r_crit, float(near[k]))
-    return r_crit, _gg(d, r_crit)
+    return r_crit, build_gg(dep, r_crit)
 
 
 def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     """Largest nearest-neighbour distance and its geometric graph.
 
     The returned graph has minimum degree >= 1 but need not be connected.
+    The KD-tree's nearest neighbours bound r1 from above.
     """
-    d = distance_matrix(dep)
-    np.fill_diagonal(d, np.inf)
-    r1 = float(d.min(axis=1).max())
-    return r1, _gg(d, r1)
+    nearest = cKDTree(dep.positions).query(dep.positions, k=2)[1][:, 1]
+    pairs = build_gg(dep, float(pair_distances(dep, np.arange(dep.n), nearest).max())).edges
+    d = pair_distances(dep, pairs[:, 0], pairs[:, 1])
+    near = np.full(dep.n, np.inf)
+    np.minimum.at(near, pairs.ravel(), np.repeat(d, 2))
+    r1 = float(near.max())
+    return r1, EdgeGraph(dep.n, pairs[d <= r1], radius=r1)
 
 
 def hop_distances(g: EdgeGraph, sources) -> np.ndarray:

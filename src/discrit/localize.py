@@ -180,20 +180,18 @@ class ErrorPattern:
 
 
 def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
-                  margin: float | None = None) -> ErrorPattern:
+                  margin: float) -> ErrorPattern:
     """Localize every non-beacon node of a connected graph.
 
-    Nodes outside the interior margin (default a tenth of the smaller
-    region side) are flagged as edge-zone; their errors are typically
-    larger. A node whose descent stalls keeps the best iterate and is
-    flagged unconverged.
+    Nodes closer than ``margin`` meters to the region boundary are
+    flagged as edge-zone; their errors are typically larger. A node
+    whose descent stalls keeps the best iterate and is flagged
+    unconverged.
     """
     if g.n != dep.n:
         raise ValueError(f"graph has {g.n} nodes, deployment has {dep.n}")
     if not is_connected(g):
         raise ValueError("graph must be connected for hop ratios")
-    if margin is None:
-        margin = 0.1 * min(dep.region.width, dep.region.height)
     interior = np.zeros(dep.n, dtype=bool)
     interior[interior_nodes(dep, margin)] = True
     nodes = np.setdiff1d(np.arange(dep.n), beacons.ids)

@@ -114,9 +114,14 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
     return float((a + b) / 2)
 
 
-def _h_hop_topology(hops: np.ndarray, h: int) -> EdgeGraph:
-    """T_h read off a hop matrix; find_h_opt builds every h from one."""
-    return EdgeGraph(len(hops), np.argwhere(np.triu(hops == h, 1)))
+def _h_hop_topologies(hops: np.ndarray, h_max: int) -> list:
+    """T_1 .. T_h_max of a connected graph from one pass over its hop
+    matrix: the row-major pairs within h_max hops, stable-sorted by hop."""
+    i, j = np.nonzero(np.triu(hops <= h_max, 1))
+    order = np.argsort(hops[i, j], kind="stable")
+    i, j = i[order], j[order]
+    cuts = np.searchsorted(hops[i, j], np.arange(1, h_max + 2))
+    return [EdgeGraph(len(hops), np.column_stack((i[a:b], j[a:b]))) for a, b in zip(cuts, cuts[1:])]
 
 
 def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
@@ -125,7 +130,7 @@ def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
         raise ValueError(f"h must be >= 1, got {h}")
     if not is_connected(g):
         raise ValueError("base graph must be connected")
-    return _h_hop_topology(hop_matrix(g), h)
+    return _h_hop_topologies(hop_matrix(g), h)[-1]
 
 
 def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
@@ -144,14 +149,16 @@ def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: 
     deg = np.diff(csr.indptr)
     active = np.flatnonzero(deg)
     rng = np.random.default_rng(seed)
+    # rng.random() = (raw >> 11) * 2**-53 < q iff raw >> 11 < ceil(q * 2**53), iff raw <= limit
+    limit = (math.ceil(p.q * 2.0 ** 53) << 11) - 1
     total = 0.0
     chunk = max(1, min(p.slots, MAC_CHUNK_DRAWS // max(active.size, 1)))
     done = 0
     while done < p.slots:
         m = min(chunk, p.slots - done)
-        attempts = rng.random((m, active.size)) < p.q
-        natt = attempts.sum(axis=1)
-        winners = active[attempts.argmax(axis=1)[natt == 1]]
+        hits = np.flatnonzero(rng.bit_generator.random_raw(m * active.size) <= limit)
+        slot = hits // active.size
+        winners = active[hits[np.bincount(slot, minlength=m)[slot] == 1] % active.size]
         if winners.size:
             u = rng.random(winners.size)
             nbr = csr.indices[csr.indptr[winners] + (u * deg[winners]).astype(np.int64)]
@@ -197,11 +204,9 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
         raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
-    hops = hop_matrix(g_base)
     child_seeds = np.random.SeedSequence(seed).spawn(p.h_max)
     rows = []
-    for h in range(1, p.h_max + 1):
-        topology = _h_hop_topology(hops, h)
+    for h, topology in enumerate(_h_hop_topologies(hop_matrix(g_base), p.h_max), start=1):
         if not topology.num_edges:
             rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
             continue

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial import cKDTree
 
 from discrit.channel import (
@@ -163,6 +163,23 @@ def reference_build_gg(dep, r):
     keep = d[iu] <= r
     edges = frozenset(zip(iu[0][keep].tolist(), iu[1][keep].tolist()))
     return EdgeGraph(dep.n, edges, radius=float(r))
+
+
+def reference_degree1_radius(dep):
+    """``degree1_radius`` as it was: row minima of the dense distance
+    matrix, and the graph thresholded from the same matrix."""
+    d = distance_matrix(dep)
+    np.fill_diagonal(d, np.inf)
+    r1 = float(d.min(axis=1).max())
+    return r1, EdgeGraph(dep.n, np.argwhere(np.triu(d <= r1, 1)), radius=r1)
+
+
+def reference_hops(g, sources=None):
+    """``graphs._bfs_hops`` as it was: one scipy Dijkstra per source, with
+    unreachable pairs (inf) set to -1."""
+    dist = shortest_path(g._csr, method="D", directed=False, unweighted=True, indices=sources)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def reference_critical_radius(dep):

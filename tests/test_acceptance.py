@@ -263,13 +263,13 @@ def test_criterion_12_localization_error_gates():
     for seed in range(10):
         dep = generate_deployment("uniform-iid", 1000, KM, seed)
         rc, cgg = critical_radius(dep)
-        exact_pat = error_pattern(dep, corner_beacons(dep), cgg)
+        exact_pat = error_pattern(dep, corner_beacons(dep), cgg, margin=100.0)
         weights = simulate_hello(dep, HELLO, seed)
         ghat, _ = run_discrit(weights)
         giant = giant_component(ghat)
         sub = dep.subset(giant)
         ghat_giant = induced_subgraph(ghat, giant)
-        discrit_pat = error_pattern(sub, corner_beacons(sub), ghat_giant)
+        discrit_pat = error_pattern(sub, corner_beacons(sub), ghat_giant, margin=100.0)
         seed_within = exact_pat.mean_error <= 2 * rc
         seed_ordered = discrit_pat.mean_error >= exact_pat.mean_error
         within += seed_within

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_critical_radius,
-    reference_disparity, reference_induced_subgraph, reference_save_graph, set_graph,
+    edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_build_gg,
+    reference_critical_radius, reference_degree1_radius, reference_disparity, reference_hops,
+    reference_induced_subgraph, reference_save_graph, set_graph,
 )
 from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
@@ -152,6 +153,27 @@ def test_critical_radius_matches_union_find_reference():
     assert critical_radius(cases[-1])[0] == 5.0
 
 
+def test_kdtree_graphs_match_dense_reference():
+    # degree1_radius and build_gg against the distance-matrix versions
+    # they replaced, radius 0 and exact grid ties included.
+    km = Region(1000, 1000)
+    cases = [generate_deployment("uniform-iid", n, km, seed) for n in (1000, 3000) for seed in range(3)]
+    cases += [
+        generate_deployment("grid", 400, km, 0),
+        generate_deployment("grid", 1024, km, 0),
+        generate_deployment("randomised-lattice", 1000, km, 0),
+        line_deployment([3.0, 3.0], side=10.0),
+        line_deployment([1.0, 6.0, 1.0, 6.0], side=10.0),
+    ]
+    for dep in cases:
+        r1, g1 = degree1_radius(dep)
+        r_ref, g_ref = reference_degree1_radius(dep)
+        assert (r1, g1.radius) == (r_ref, g_ref.radius)
+        assert np.array_equal(g1.edges, g_ref.edges)
+        for r in (0.0, r1, 1.5 * r1):
+            assert np.array_equal(build_gg(dep, r).edges, reference_build_gg(dep, r).edges)
+
+
 def test_giant_component():
     two = EdgeGraph(6, frozenset([(0, 2), (2, 4), (1, 3)]))  # node 5 isolated
     assert giant_component(two).tolist() == [0, 2, 4]
@@ -196,6 +218,32 @@ def test_hop_distances_examples():
     _, g1 = degree1_radius(dep)
     assert hop_distances(g1, [0]).tolist() == [[0, 1, -1, -1]]
     assert np.array_equal(hop_distances(g1, range(4)), hop_matrix(g1))
+
+
+def test_bfs_hops_match_shortest_path():
+    km = Region(1000, 1000)
+    uniform = lambda n: generate_deployment("uniform-iid", n, km, 0)
+    cases = {
+        "critical-n1000": critical_radius(uniform(1000))[1],
+        "critical-n3000": critical_radius(uniform(3000))[1],
+        "degree1-disconnected": degree1_radius(uniform(1000))[1],
+        "grid-32x32": critical_radius(generate_deployment("grid", 1024, km, 0))[1],
+        "lattice-n2000": critical_radius(generate_deployment("randomised-lattice", 2000, km, 0))[1],
+        "isolated-node": EdgeGraph(5, [(0, 1), (3, 4)]),
+        "empty-n1": EdgeGraph(1, []),
+        "empty-n2": EdgeGraph(2, []),
+        # neither a multiple of 64 nor of the block size
+        "critical-n513": critical_radius(uniform(513))[1],
+    }
+    for label, g in cases.items():
+        hops = hop_matrix(g)
+        assert hops.dtype == np.int64 and not hops.flags.writeable, label
+        assert np.array_equal(hops, reference_hops(g)), label
+    assert (hop_matrix(cases["degree1-disconnected"]) == -1).any()
+    g = cases["critical-n513"]
+    for sources in ([512, 7, 7, 0, 300, 512],
+                    np.random.default_rng(0).integers(0, g.n, 700)):
+        assert np.array_equal(hop_distances(g, sources), reference_hops(g, sources))
 
 
 def test_hop_table_symmetry_triangle():

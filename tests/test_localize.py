@@ -154,7 +154,7 @@ def test_error_pattern_structure(tmp_path):
     dep = generate_deployment("uniform-iid", 250, Region(1000, 1000), 6)
     _, cgg = critical_radius(dep)
     beacons = corner_beacons(dep)
-    pattern = error_pattern(dep, beacons, cgg)
+    pattern = error_pattern(dep, beacons, cgg, margin=100.0)
     assert len(pattern.records) == dep.n - 4
     assert all(r.node not in beacons.ids for r in pattern.records)
     assert pattern.interior_mean_error <= pattern.mean_error
@@ -188,7 +188,7 @@ def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
         return _solve(b, pairs, ratios)
 
     monkeypatch.setattr(localize, "_solve", spy)
-    pattern = error_pattern(dep, beacons, cgg)
+    pattern = error_pattern(dep, beacons, cgg, margin=100.0)
     vectors = node_ratio_vectors(dep, beacons, cgg)
     assert len(batches) == 1
     rows = [tuple(row) for row in batches[0].tolist()]
@@ -274,11 +274,11 @@ def test_error_pattern_rejects_node_count_mismatch():
     _, cgg = critical_radius(generate_deployment("uniform-iid", 200, region, 0))
     dep = generate_deployment("uniform-iid", 150, region, 0)
     with pytest.raises(ValueError, match="graph has 200 nodes, deployment has 150"):
-        error_pattern(dep, corner_beacons(dep), cgg)
+        error_pattern(dep, corner_beacons(dep), cgg, margin=100.0)
 
 
 def test_error_pattern_needs_connected_graph():
     dep = generate_deployment("uniform-iid", 30, Region(1000, 1000), 1)
     disconnected = EdgeGraph(30, frozenset([(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
-        error_pattern(dep, corner_beacons(dep), disconnected)
+        error_pattern(dep, corner_beacons(dep), disconnected, margin=100.0)

@@ -11,8 +11,9 @@ from conftest import (
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
-    SelfOrgParams, aloha_contention_constant, build_h_hop_topology, find_h_opt,
-    optimal_hop_length, simulate_transport_capacity, theoretical_psi,
+    MAC_CHUNK_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi, aloha_contention_constant,
+    build_h_hop_topology, find_h_opt, optimal_hop_length, simulate_transport_capacity,
+    theoretical_psi,
 )
 
 P = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
@@ -106,6 +107,8 @@ def test_h_hop_topology_matches_reference():
             assert row.psi_sim == reference_simulate_psi(dist, adj, P, child_seeds[h - 1]), (label, h)
         # At the diameter only the ends of the longest paths contend.
         h = graph_diameter(cgg)
+        for k, topology in enumerate(_h_hop_topologies(hops, h + 2), start=1):
+            assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, k)
         psi = simulate_transport_capacity(dep, cgg, h, P, seed=5)
         assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, 5), label
     # Past the diameter T_h is empty and scores zero.
@@ -113,6 +116,25 @@ def test_h_hop_topology_matches_reference():
     _, rows = find_h_opt(dep, path_graph(3), replace(P, h_max=3), seed=0)
     assert [(r.n_edges, r.n_active) for r in rows] == [(2, 3), (1, 2), (0, 0)]
     assert rows[2].psi_sim == 0.0 and math.isnan(rows[2].mean_hop_len)
+
+
+def test_aloha_raw_draws_match_reference_loop():
+    # Attempts read off raw 64-bit draws against the rng.random() loop:
+    # q = 1, a single link (each winner has one destination), and slot
+    # counts on both sides of a chunk boundary.
+    pair = line_deployment([100.0, 200.0], side=1000.0)
+    dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), 0)
+    cgg = critical_radius(dep)[1]
+    chunk = MAC_CHUNK_DRAWS // cgg.n
+    cases = [(pair, path_graph(2), 1.0, 300), (pair, path_graph(2), 0.3, 5000),
+             (dep, cgg, 1.0, 50)]
+    cases += [(dep, cgg, 0.001, slots) for slots in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+    for case, (d, g, q, slots) in enumerate(cases):
+        p = replace(P, q=q, slots=slots)
+        adj = reference_topology_adjacency(hop_matrix(g), 1)
+        expect = reference_simulate_psi(distance_matrix(d), adj, p, case)
+        assert _simulate_psi(d, g, p, case) == expect, case
+    assert expect > 0
 
 
 def test_disconnected_base_graph_rejected():
