@@ -19,7 +19,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--margin", type=float, default=0.1, help="interior margin fraction")
     ap.add_argument("--outdir", default="localization")
     args = ap.parse_args()
 
@@ -27,7 +26,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     region = Region(1000.0, 1000.0)
     dep = generate_deployment("uniform-iid", args.n, region, args.seed)
-    margin = args.margin * min(region.width, region.height)
+    margin = 0.1 * min(region.width, region.height)
 
     rc, cgg = critical_radius(dep)
     exact = error_pattern(dep, corner_beacons(dep), cgg, margin)

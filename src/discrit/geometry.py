@@ -123,13 +123,6 @@ def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deploym
     return Deployment(pos, kind, region, seed)
 
 
-def _length(dx, dy) -> np.ndarray:
-    """sqrt(dx*dx + dy*dy), computed in the arrays dx and dy, which it overwrites."""
-    dx *= dx
-    dy *= dy
-    return np.sqrt(np.add(dx, dy, out=dx), out=dx)
-
-
 def distance_matrix(dep: Deployment) -> np.ndarray:
     """Full (n, n) Euclidean distance matrix.
 
@@ -138,15 +131,18 @@ def distance_matrix(dep: Deployment) -> np.ndarray:
     evaluation of that formula (ties matter when a radius equals a
     pairwise distance exactly).
     """
-    x, y = dep.positions.T
-    return _length(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    ids = np.arange(dep.n)
+    return pair_distances(dep, ids[:, None], ids[None, :])
 
 
 def pair_distances(dep: Deployment, i, j) -> np.ndarray:
-    """Distances between nodes i[k] and j[k], bit-equal to
-    ``distance_matrix(dep)[i, j]`` without building the matrix."""
+    """Distances between nodes i and j (broadcast together), bit-equal
+    to ``distance_matrix(dep)[i, j]`` without building the matrix."""
     x, y = dep.positions.T
-    return _length(x[i] - x[j], y[i] - y[j])
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    dx *= dx  # squared and summed in place: no n x n temporaries beyond dx and dy
+    dy *= dy
+    return np.sqrt(np.add(dx, dy, out=dx), out=dx)
 
 
 def interior_nodes(dep: Deployment, margin: float) -> np.ndarray:

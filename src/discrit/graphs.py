@@ -128,17 +128,20 @@ def _bfs_hops(g: EdgeGraph, sources=None) -> np.ndarray:
     return hops
 
 
-def build_gg(dep: Deployment, r: float) -> EdgeGraph:
-    """Geometric graph of radius r (closed ball).
+def _pairs_within(dep: Deployment, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) with d_ij <= r, and their lengths. A KD-tree proposes
+    pairs at r·(1 + 1e-9), as its squared-distance test can drop a pair of
+    length exactly r; pair_distances, with distance_matrix's bits, decides."""
+    pairs = cKDTree(dep.positions).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    d = pair_distances(dep, pairs[:, 0], pairs[:, 1])
+    return pairs[d <= r], d[d <= r]
 
-    A KD-tree proposes pairs at a slightly larger radius, because its own
-    squared-distance test can drop a pair of length exactly r; their
-    lengths from pair_distances, with distance_matrix's bits, decide.
-    """
+
+def build_gg(dep: Deployment, r: float) -> EdgeGraph:
+    """Geometric graph of radius r (closed ball)."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    pairs = cKDTree(dep.positions).query_pairs(r * (1 + 1e-9), output_type="ndarray")
-    return EdgeGraph(dep.n, pairs[pair_distances(dep, pairs[:, 0], pairs[:, 1]) <= r], radius=float(r))
+    return EdgeGraph(dep.n, _pairs_within(dep, r)[0], radius=float(r))
 
 
 def is_connected(g: EdgeGraph) -> bool:
@@ -183,8 +186,7 @@ def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     The KD-tree's nearest neighbours bound r1 from above.
     """
     nearest = cKDTree(dep.positions).query(dep.positions, k=2)[1][:, 1]
-    pairs = build_gg(dep, float(pair_distances(dep, np.arange(dep.n), nearest).max())).edges
-    d = pair_distances(dep, pairs[:, 0], pairs[:, 1])
+    pairs, d = _pairs_within(dep, float(pair_distances(dep, np.arange(dep.n), nearest).max()))
     near = np.full(dep.n, np.inf)
     np.minimum.at(near, pairs.ravel(), np.repeat(d, 2))
     r1 = float(near.max())

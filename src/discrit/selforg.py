@@ -114,13 +114,13 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
     return float((a + b) / 2)
 
 
-def _h_hop_topologies(hops: np.ndarray, h_max: int) -> list:
-    """T_1 .. T_h_max of a connected graph from one pass over its hop
-    matrix: the row-major pairs within h_max hops, stable-sorted by hop."""
-    i, j = np.nonzero(np.triu(hops <= h_max, 1))
+def _h_hop_topologies(hops: np.ndarray, h_min: int, h_max: int) -> list:
+    """T_h_min .. T_h_max of a connected graph from one pass over its hop
+    matrix: the row-major pairs h_min to h_max hops apart, stable-sorted by hop."""
+    i, j = np.nonzero(np.triu((hops >= h_min) & (hops <= h_max), 1))
     order = np.argsort(hops[i, j], kind="stable")
     i, j = i[order], j[order]
-    cuts = np.searchsorted(hops[i, j], np.arange(1, h_max + 2))
+    cuts = np.searchsorted(hops[i, j], np.arange(h_min, h_max + 2))
     return [EdgeGraph(len(hops), np.column_stack((i[a:b], j[a:b]))) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -130,7 +130,7 @@ def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
         raise ValueError(f"h must be >= 1, got {h}")
     if not is_connected(g):
         raise ValueError("base graph must be connected")
-    return _h_hop_topologies(hop_matrix(g), h)[-1]
+    return _h_hop_topologies(hop_matrix(g), h, h)[0]
 
 
 def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
@@ -206,7 +206,7 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
         raise ValueError("base graph must be connected")
     child_seeds = np.random.SeedSequence(seed).spawn(p.h_max)
     rows = []
-    for h, topology in enumerate(_h_hop_topologies(hop_matrix(g_base), p.h_max), start=1):
+    for h, topology in enumerate(_h_hop_topologies(hop_matrix(g_base), 1, p.h_max), start=1):
         if not topology.num_edges:
             rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
             continue

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import edge_set, enumerate_hello_p
+from conftest import edge_set, enumerate_hello_p, reference_degree1_radius
 from discrit.channel import ChannelParams, LinkWeightTable, homogeneity_check, simulate_hello
 from discrit.cli import run_pipeline
 from discrit.discretize import rho_trend
@@ -55,9 +55,10 @@ def test_criterion_01_small_instance_oracles():
                                   int(rng.integers(0, 1 << 30)))
         if critical_radius(dep)[0] != brute_force_critical_radius(dep):
             ok = False
-        d = distance_matrix(dep)
-        np.fill_diagonal(d, np.inf)
-        if degree1_radius(dep)[0] != d.min(axis=1).max():
+        # r1 and the edge set against the dense distance matrix
+        r1, g1 = degree1_radius(dep)
+        r_ref, g_ref = reference_degree1_radius(dep)
+        if r1 != r_ref or edge_set(g1) != edge_set(g_ref):
             ok = False
     assert report(1, "small-instance oracle equivalence", ok, "200 deployments")
 

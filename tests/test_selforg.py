@@ -107,8 +107,9 @@ def test_h_hop_topology_matches_reference():
             assert row.psi_sim == reference_simulate_psi(dist, adj, P, child_seeds[h - 1]), (label, h)
         # At the diameter only the ends of the longest paths contend.
         h = graph_diameter(cgg)
-        for k, topology in enumerate(_h_hop_topologies(hops, h + 2), start=1):
-            assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, k)
+        for lo in (1, 3, h):
+            for k, topology in enumerate(_h_hop_topologies(hops, lo, h + 2), start=lo):
+                assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, lo, k)
         psi = simulate_transport_capacity(dep, cgg, h, P, seed=5)
         assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, 5), label
     # Past the diameter T_h is empty and scores zero.
