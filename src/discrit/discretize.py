@@ -21,6 +21,8 @@ from .graphs import EdgeGraph, critical_radius, hop_matrix
 # seeded sample of this many pairs instead.
 PAIR_SAMPLE_THRESHOLD = 2000
 DEFAULT_PAIR_SAMPLE = 200_000
+# Rows of the upper triangle read per block when rho_stats takes all pairs.
+RHO_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -51,6 +53,13 @@ def _pair_sample(n, count, seed):
     return ii[:count], jj[:count]
 
 
+def _rho(dep, hops, i, j):
+    """rho of the pairs (i, j) joined by a path, and the number of pairs not joined."""
+    h = hops[i, j]
+    ok = h > 0
+    return pair_distances(dep, i[ok], j[ok]) / h[ok], int(np.count_nonzero(h < 0))
+
+
 def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -> RhoStats:
     """Distance-per-hop statistics over node pairs of g.
 
@@ -64,17 +73,19 @@ def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -
         raise ValueError(f"graph has {g.n} nodes, deployment has {n}")
     hops = hop_matrix(g)
     if pair_sample == "all":
-        ii, jj = np.triu_indices(n, 1)
+        cols = np.arange(n)
+        parts = []  # row blocks of the upper triangle, in triu order
+        for lo in range(0, n, RHO_BLOCK_ROWS):
+            i, j = np.nonzero(cols > cols[lo:lo + RHO_BLOCK_ROWS, None])
+            parts.append(_rho(dep, hops, i + lo, j))
     else:
         count = int(pair_sample)
         if count < 1:
             raise ValueError(f"pair_sample must be >= 1, got {pair_sample}")
-        ii, jj = _pair_sample(n, count, seed)
-    hvals = hops[ii, jj].astype(np.float64)
-    dvals = pair_distances(dep, ii, jj)
-    finite = hvals > 0
-    excluded = int(np.sum(hvals < 0))
-    samples = dvals[finite] / hvals[finite]
+        parts = [_rho(dep, hops, *_pair_sample(n, count, seed))]
+    samples = np.concatenate([rho for rho, _ in parts])
+    excluded = sum(e for _, e in parts)
+    del parts  # the blocks would otherwise stay alive next to var()'s temporary
     if samples.size == 0:
         raise ValueError("no connected pairs; rho is undefined")
 

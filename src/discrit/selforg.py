@@ -11,6 +11,8 @@ Aloha MAC on it, and picks the h that maximises it.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,8 @@ class SelfOrgParams:
 # where the destination draws interleave with the attempt draws, so it is
 # part of the seed contract: changing it changes every psi_sim.
 MAC_CHUNK_DRAWS = 2_000_000
+# Attempts drawn at a time within a chunk: bounds scratch memory, keeps the stream.
+MAC_PIECE_DRAWS = 1 << 17
 
 
 def aloha_contention_constant(n_active: int, q: float, w: float) -> float:
@@ -133,6 +137,42 @@ def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
     return _h_hop_topologies(hop_matrix(g), h, h)[0]
 
 
+def _aloha_links(topology: EdgeGraph, p: SelfOrgParams, seed) -> list:
+    """(winners, destinations) of each chunk of Aloha slots that carried
+    traffic. Reads only the RNG and the CSR, so it may run off the main thread."""
+    csr = topology._csr
+    deg = np.diff(csr.indptr)
+    active = np.flatnonzero(deg)
+    if not active.size:
+        return []
+    rng = np.random.default_rng(seed)
+    raw = rng.bit_generator.random_raw
+    # rng.random() = (raw >> 11) * 2**-53 < q iff raw >> 11 < ceil(q * 2**53), iff raw <= limit
+    limit = (math.ceil(p.q * 2.0 ** 53) << 11) - 1
+    links = []
+    chunk = max(1, min(p.slots, MAC_CHUNK_DRAWS // active.size))
+    for done in range(0, p.slots, chunk):
+        m = min(chunk, p.slots - done)
+        draws = m * active.size
+        hits = np.concatenate([np.flatnonzero(raw(min(MAC_PIECE_DRAWS, draws - k)) <= limit) + k
+                               for k in range(0, draws, MAC_PIECE_DRAWS)])
+        slot = hits // active.size
+        winners = active[hits[np.bincount(slot, minlength=m)[slot] == 1] % active.size]
+        if winners.size:
+            u = rng.random(winners.size)
+            links.append((winners, csr.indices[csr.indptr[winners] + (u * deg[winners]).astype(np.int64)]))
+    return links
+
+
+def _credit(dep: Deployment, links: list, p: SelfOrgParams) -> float:
+    """Bit-meters per slot carried by the links of _aloha_links, summed chunk by chunk."""
+    total = 0.0
+    for winners, nbr in links:
+        d = pair_distances(dep, winners, nbr)
+        total += float((d * p.w * link_rate(d, p)).sum())
+    return total / p.slots
+
+
 def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
     """Saturated single-cell Aloha on a fixed topology.
 
@@ -142,30 +182,11 @@ def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: 
     crediting d * w * log(1 + alpha0 p_t / (d^eta sigma2)) bit-meters.
     Returns total bit-meters per slot. Draw order: the slots run in
     chunks of MAC_CHUNK_DRAWS // (number of contenders); each chunk draws
-    its attempt indicators, then one destination per successful slot of
-    that chunk. A winner's neighbours are taken in ascending id order.
+    its attempt indicators (MAC_PIECE_DRAWS at a time, which leaves the
+    stream unchanged), then one destination per successful slot of that
+    chunk. A winner's neighbours are taken in ascending id order.
     """
-    csr = topology._csr
-    deg = np.diff(csr.indptr)
-    active = np.flatnonzero(deg)
-    rng = np.random.default_rng(seed)
-    # rng.random() = (raw >> 11) * 2**-53 < q iff raw >> 11 < ceil(q * 2**53), iff raw <= limit
-    limit = (math.ceil(p.q * 2.0 ** 53) << 11) - 1
-    total = 0.0
-    chunk = max(1, min(p.slots, MAC_CHUNK_DRAWS // max(active.size, 1)))
-    done = 0
-    while done < p.slots:
-        m = min(chunk, p.slots - done)
-        hits = np.flatnonzero(rng.bit_generator.random_raw(m * active.size) <= limit)
-        slot = hits // active.size
-        winners = active[hits[np.bincount(slot, minlength=m)[slot] == 1] % active.size]
-        if winners.size:
-            u = rng.random(winners.size)
-            nbr = csr.indices[csr.indptr[winners] + (u * deg[winners]).astype(np.int64)]
-            d = pair_distances(dep, winners, nbr)
-            total += float((d * p.w * link_rate(d, p)).sum())
-        done += m
-    return total / p.slots
+    return _credit(dep, _aloha_links(topology, p, seed), p)
 
 
 def simulate_transport_capacity(dep: Deployment, g_base: EdgeGraph, h: int,
@@ -199,23 +220,29 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
     T_h and the theoretical capacity there, with the contention constant
     calibrated from the number of contending nodes unless params.a is
     set. Empty topologies score zero.
+
+    Each h draws its MAC on a worker thread of its own, from its own child
+    of SeedSequence(seed) and in _simulate_psi's order, so the rows do not
+    depend on the CPU count; the credit runs on the calling thread.
     """
     if g_base.n != dep.n:
         raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
-    child_seeds = np.random.SeedSequence(seed).spawn(p.h_max)
+    topologies = _h_hop_topologies(hop_matrix(g_base), 1, p.h_max)
     rows = []
-    for h, topology in enumerate(_h_hop_topologies(hop_matrix(g_base), 1, p.h_max), start=1):
-        if not topology.num_edges:
-            rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
-            continue
-        n_active = int(np.count_nonzero(topology.degrees()))
-        mean_len = float(pair_distances(dep, topology.edges[:, 0], topology.edges[:, 1]).mean())
-        psi_sim = _simulate_psi(dep, topology, p, child_seeds[h - 1])
-        a = p.a if p.a is not None else aloha_contention_constant(n_active, p.q, p.w)
-        rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
-                           psi_sim, theoretical_psi(mean_len, p, a=a)))
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), p.h_max)) as pool:
+        draws = pool.map(_aloha_links, topologies, [p] * p.h_max,
+                         np.random.SeedSequence(seed).spawn(p.h_max))
+        for h, (topology, links) in enumerate(zip(topologies, draws), start=1):
+            if not topology.num_edges:
+                rows.append(PsiRow(h, 0, 0, math.nan, 0.0, 0.0))
+                continue
+            n_active = int(np.count_nonzero(topology.degrees()))
+            mean_len = float(pair_distances(dep, topology.edges[:, 0], topology.edges[:, 1]).mean())
+            a = p.a if p.a is not None else aloha_contention_constant(n_active, p.q, p.w)
+            rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
+                               _credit(dep, links, p), theoretical_psi(mean_len, p, a=a)))
     psi = [r.psi_sim for r in rows]
     h_opt = 1 + int(np.argmax(psi))
     return h_opt, rows

@@ -17,8 +17,9 @@ from discrit.channel import (
     ChannelParams, LinkWeightTable, PowerHistograms, _gain_matrix, simulate_hello,
     square_annulus_index,
 )
-from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment
-from discrit.graphs import EdgeGraph
+from discrit.discretize import RhoStats, _pair_sample
+from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, pair_distances
+from discrit.graphs import EdgeGraph, hop_matrix
 from discrit import localize
 from discrit.localize import PositionSolverError
 from discrit.protocol import (
@@ -393,6 +394,32 @@ def reference_simulate_psi(dist, adj, p, seed):
             total += float((d * p.w * link_rate(d, p)).sum())
         done += m
     return total / p.slots
+
+
+def reference_rho_stats(dep, g, pair_sample="all", seed=0):
+    """``rho_stats`` as it read all pairs at once through ``triu_indices``."""
+    n = dep.n
+    hops = hop_matrix(g)
+    if pair_sample == "all":
+        ii, jj = np.triu_indices(n, 1)
+    else:
+        ii, jj = _pair_sample(n, int(pair_sample), seed)
+    hvals = hops[ii, jj].astype(np.float64)
+    dvals = pair_distances(dep, ii, jj)
+    finite = hvals > 0
+    excluded = int(np.sum(hvals < 0))
+    samples = dvals[finite] / hvals[finite]
+    mean = float(samples.mean())
+    variance = float(samples.var())
+    bin_width = (g.radius if g.radius else float(samples.max())) / 50.0
+    top = max(float(samples.max()), bin_width)
+    edges = np.arange(int(math.ceil(top / bin_width)) + 1) * bin_width
+    hist, _ = np.histogram(samples, bins=edges)
+    return RhoStats(
+        samples=samples, mean=mean, variance=variance, cv=float(math.sqrt(variance) / mean),
+        hist_edges=edges, hist_masses=hist / samples.size, bin_width=bin_width,
+        pairs_used=int(samples.size), pairs_excluded=excluded,
+    )
 
 
 @functools.lru_cache(maxsize=None)

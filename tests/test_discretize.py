@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import line_deployment
-from discrit.discretize import _half_width, rho_stats, rho_trend, save_trend_csv
+from conftest import edge_format_deployments, line_deployment, reference_rho_stats
+from discrit.discretize import RHO_BLOCK_ROWS, _half_width, rho_stats, rho_trend, save_trend_csv
 from discrit.geometry import Region, generate_deployment
-from discrit.graphs import build_gg, critical_radius
+from discrit.graphs import build_gg, critical_radius, degree1_radius, is_connected
 
 
 def test_two_nodes_single_sample():
@@ -60,6 +60,33 @@ def test_excluded_pairs_counted():
     empty = build_gg(dep, 0.5)
     with pytest.raises(ValueError):
         rho_stats(dep, empty)
+
+
+def test_row_blocks_match_triu_reference():
+    # Row blocks against all pairs at once: critical graphs at n = 1000
+    # and 3000, the grid's exact ties, a disconnected graph (excluded
+    # pairs), n = 2 and 130 (neither a multiple of the block size), and
+    # the sampled branch.
+    km = Region(1000, 1000)
+    deps = dict(edge_format_deployments())
+    cases = [(label, deps[label], critical_radius(deps[label])[1], "all")
+             for label in ("uniform-seed0", "grid-32x32")]
+    g1 = degree1_radius(deps["uniform-seed0"])[1]
+    assert not is_connected(g1)  # so some pairs are excluded
+    cases.append(("degree1-seed0", deps["uniform-seed0"], g1, "all"))
+    for n in (2, 130, 3000):
+        dep = generate_deployment("uniform-iid", n, km, 0)
+        cases.append((f"n{n}", dep, critical_radius(dep)[1], "all"))
+    assert 130 % RHO_BLOCK_ROWS and 3000 % RHO_BLOCK_ROWS
+    cases.append(("n3000-sampled", dep, cases[-1][2], 200_000))
+    for label, dep, g, sample in cases:
+        got, want = rho_stats(dep, g, pair_sample=sample, seed=7), reference_rho_stats(dep, g, sample, seed=7)
+        assert np.array_equal(got.samples, want.samples), label
+        assert (got.pairs_used, got.pairs_excluded) == (want.pairs_used, want.pairs_excluded), label
+        assert (got.mean, got.variance, got.cv, got.bin_width) == (want.mean, want.variance, want.cv,
+                                                                  want.bin_width), label
+        assert np.array_equal(got.hist_edges, want.hist_edges), label
+        assert np.array_equal(got.hist_masses, want.hist_masses), label
 
 
 def test_pair_sampling_deterministic():

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +10,11 @@ from conftest import (
     edge_format_cases, edge_set, line_deployment, reference_simulate_psi,
     reference_topology_adjacency,
 )
+from discrit import selforg
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
-    MAC_CHUNK_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi, aloha_contention_constant,
+    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi, aloha_contention_constant,
     build_h_hop_topology, find_h_opt, optimal_hop_length, simulate_transport_capacity,
     theoretical_psi,
 )
@@ -121,8 +124,10 @@ def test_h_hop_topology_matches_reference():
 
 def test_aloha_raw_draws_match_reference_loop():
     # Attempts read off raw 64-bit draws against the rng.random() loop:
-    # q = 1, a single link (each winner has one destination), and slot
-    # counts on both sides of a chunk boundary.
+    # q = 1, a single link (each winner has one destination), slot
+    # counts on both sides of a chunk boundary, and single chunks of
+    # exactly k pieces of attempt draws and one draw fewer or more
+    # (2, 3 and 5 contenders on paths of 2, 3 and 5 nodes).
     pair = line_deployment([100.0, 200.0], side=1000.0)
     dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), 0)
     cgg = critical_radius(dep)[1]
@@ -130,12 +135,42 @@ def test_aloha_raw_draws_match_reference_loop():
     cases = [(pair, path_graph(2), 1.0, 300), (pair, path_graph(2), 0.3, 5000),
              (dep, cgg, 1.0, 50)]
     cases += [(dep, cgg, 0.001, slots) for slots in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+    for draws in (MAC_PIECE_DRAWS, MAC_PIECE_DRAWS + 1, 2 * MAC_PIECE_DRAWS - 1, 2 * MAC_PIECE_DRAWS,
+                  2 * MAC_PIECE_DRAWS + 1):
+        k = next(k for k in (2, 3, 5) if draws % k == 0)
+        line = line_deployment([100.0 * (x + 1) for x in range(k)], side=1000.0)
+        cases.append((line, path_graph(k), 0.3, draws // k))
     for case, (d, g, q, slots) in enumerate(cases):
         p = replace(P, q=q, slots=slots)
         adj = reference_topology_adjacency(hop_matrix(g), 1)
         expect = reference_simulate_psi(distance_matrix(d), adj, p, case)
         assert _simulate_psi(d, g, p, case) == expect, case
     assert expect > 0
+
+
+def test_find_h_opt_rows_independent_of_cpu_count(monkeypatch):
+    # One worker thread or one per h: the same rows as on every CPU.
+    dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), 0)
+    cgg = critical_radius(dep)[1]
+    rows = find_h_opt(dep, cgg, P, seed=3)[1]
+    assert all(r.n_edges for r in rows)  # no NaN mean hop length, so == compares every field
+    for cpus in ({0}, set(range(P.h_max))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert find_h_opt(dep, cgg, P, seed=3)[1] == rows, cpus
+
+
+def test_find_h_opt_calls_public_functions_on_main_thread(monkeypatch):
+    # The benchmark tracer keeps one span stack for every thread, so the
+    # worker threads must not call traced (public) functions.
+    threads = []
+    for name in ("pair_distances", "link_rate"):
+        def spy(*args, fn=getattr(selforg, name), **kwargs):
+            threads.append(threading.current_thread())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(selforg, name, spy)
+    dep = generate_deployment("uniform-iid", 300, Region(1000, 1000), 0)
+    find_h_opt(dep, critical_radius(dep)[1], P, seed=0)
+    assert threads and set(threads) == {threading.main_thread()}
 
 
 def test_disconnected_base_graph_rejected():
