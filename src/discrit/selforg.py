@@ -221,9 +221,10 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
     calibrated from the number of contending nodes unless params.a is
     set. Empty topologies score zero.
 
-    Each h draws its MAC on a worker thread of its own, from its own child
-    of SeedSequence(seed) and in _simulate_psi's order, so the rows do not
-    depend on the CPU count; the credit runs on the calling thread.
+    The MAC draws run on min(CPUs, h_max) worker threads, one h per
+    thread at a time, each h from its own child of SeedSequence(seed) and
+    in _simulate_psi's order, so the rows do not depend on the CPU count.
+    The credit runs on the calling thread.
     """
     if g_base.n != dep.n:
         raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")

@@ -14,9 +14,9 @@ from discrit import selforg
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
-    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi, aloha_contention_constant,
-    build_h_hop_topology, find_h_opt, optimal_hop_length, simulate_transport_capacity,
-    theoretical_psi,
+    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi,
+    aloha_contention_constant, build_h_hop_topology, find_h_opt, optimal_hop_length,
+    simulate_transport_capacity, theoretical_psi,
 )
 
 P = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
