@@ -17,6 +17,14 @@ total), so S > total / 2. Only a listener's strongest transmitter can
 hold that (tied ones hold at most half each), so it is the only one
 simulate_hello tests. In floating point a second one could pass only if
 beta were within rounding of 1 and sigma2 below that of the total.
+
+simulate_hello has two kernels with the same counts. Rayleigh-power
+fading and beta < 1 run the slot loop, _slots. Deterministic capture
+runs HELLO_BLOCK_SLOTS slots at a time: one matrix product gives every
+listener's total, a rank table its strongest transmitter. Two summation
+orders of n nonnegative terms differ by at most about n eps relative,
+so a decision that agrees at total (1 -+ HELLO_BAND n eps) is the slot
+loop's too; one that does not is retaken with the slot loop's own sum.
 """
 
 from __future__ import annotations
@@ -123,22 +131,20 @@ class LinkWeightTable:
 
 
 def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
+    if params.alpha == 0:  # before either Hello kernel starts
+        raise ValueError("alpha = 0 broadcasts nothing")
     d = distance_matrix(dep)
     np.fill_diagonal(d, np.inf)  # no self-reception, avoids 0**-eta
     return params.p_t * d ** -params.eta
 
 
-def _slots(dep: Deployment, params: ChannelParams, seed: int):
+def _slots(gain: np.ndarray, rng, params: ChannelParams):
     """Yield (tx, rx, sig, cols, total) per Hello slot: transmitter and
     listener ids, and faded powers sig, one row per transmitter, in which
     listener rx[m] is column cols[m] and hears total[m] in all (sig is None
     if nobody or everybody transmits). Per slot the draw order is: transmit
     indicators, then rayleigh-power coefficients per (tx, rx) pair."""
-    if params.alpha == 0:
-        raise ValueError("alpha = 0 broadcasts nothing")
-    n = dep.n
-    gain = _gain_matrix(dep, params)
-    rng = np.random.default_rng(seed)
+    n = gain.shape[0]
     for _ in range(params.slots):
         transmitting = rng.random(n) < params.alpha
         tx = np.flatnonzero(transmitting)
@@ -155,15 +161,59 @@ def _slots(dep: Deployment, params: ChannelParams, seed: int):
         yield tx, rx, sig, cols, sig.sum(axis=0)[cols]
 
 
+HELLO_BLOCK_SLOTS = 64  # slots per block of deterministic capture
+HELLO_BAND = 4.0  # half-width of the rounding band around a block total, in n eps
+
+
+def _hello_blocks(gain: np.ndarray, rng, params: ChannelParams, c, b) -> None:
+    """Deterministic capture in blocks of slots (module docstring); adds
+    the decoded pairs to c and the broadcasts to b."""
+    n = gain.shape[0]
+    # rank[i, j]: transmitter i's place in listener j's gain order, strongest
+    # first and ties to the lower id, as argmax breaks them; order[j, k]: the
+    # k-th strongest at listener j. gain is symmetric, so its rows are sorted.
+    rank = np.empty((n, n), np.min_scalar_type(-n))
+    order = np.empty_like(rank)
+    for a in range(0, n, 256):
+        order[a:a + 256] = np.argsort(-gain[a:a + 256], axis=1, kind="stable")
+        np.put_along_axis(rank[:, a:a + 256].T, order[a:a + 256], np.arange(n), axis=1)
+    band = HELLO_BAND * n * np.finfo(np.float64).eps
+    cols = np.arange(n)
+    for start in range(0, params.slots, HELLO_BLOCK_SLOTS):
+        # The same stream as one rng.random(n) per slot.
+        t = rng.random((min(HELLO_BLOCK_SLOTS, params.slots - start), n)) < params.alpha
+        b += t.sum(axis=0)
+        total = t.astype(np.float64) @ gain
+        listening = ~t & t.any(axis=1, keepdims=True)  # nobody hears an idle slot
+        best = np.zeros(t.shape, rank.dtype)  # rank of each listener's strongest transmitter
+        for s in np.flatnonzero(listening.any(axis=1)):
+            np.minimum.reduce(rank[t[s]], axis=0, out=best[s])
+        i = order.ravel().take(best + cols * n).astype(np.intp)
+        sig = gain.ravel().take(i * n + cols) * (1.0 + params.beta)
+        sure, maybe = (listening & (sig >= params.beta * (params.sigma2 + total * f))
+                       for f in (1.0 + band, 1.0 - band))
+        for s in np.flatnonzero((sure != maybe).any(axis=1)):
+            j = np.flatnonzero(sure[s] != maybe[s])
+            exact = gain[t[s]].sum(axis=0)[j]  # the slot loop's total
+            sure[s, j] = sig[s, j] >= params.beta * (params.sigma2 + exact)
+        s, j = np.nonzero(sure)
+        np.add.at(c.reshape(-1), i[s, j] * n + j, 1)
+
+
 def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWeightTable:
     """Run the Hello protocol for params.slots slots; deterministic under
     the seed. With beta >= 1 only each listener's strongest transmitter
     is tested (capture, see the module docstring), else every pair."""
+    gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
     n = dep.n
     c = np.zeros((n, n), dtype=np.int64)
     b = np.zeros(n, dtype=np.int64)
+    # Coincident nodes give an infinite gain, and 0 * inf in a block total is NaN.
+    if params.fading == "deterministic" and params.beta >= 1 and np.isfinite(gain.sum()):
+        _hello_blocks(gain, rng, params, c, b)
+        return LinkWeightTable.from_counts(c, b)
     counts = c.reshape(-1)  # a view; decoded (tx, rx) pairs are unique per slot
-    for tx, rx, sig, cols, total in _slots(dep, params, seed):
+    for tx, rx, sig, cols, total in _slots(gain, rng, params):
         b[tx] += 1
         if sig is None:
             continue
@@ -251,7 +301,8 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
         raise ValueError(f"annuli must be >= 1, got {annuli}")
     ring = square_annulus_index(dep, annuli)
     samples = [[] for _ in range(annuli)]
-    for _, rx, sig, _, total in _slots(dep, params, seed):
+    gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
+    for _, rx, sig, _, total in _slots(gain, rng, params):
         if sig is not None:
             rx_ring = ring[rx]
             for a, s in enumerate(samples):

@@ -232,7 +232,9 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
         raise ValueError("base graph must be connected")
     topologies = _h_hop_topologies(hop_matrix(g_base), 1, p.h_max)
     rows = []
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), p.h_max)) as pool:
+    # sched_getaffinity exists only on Linux.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, p.h_max)) as pool:
         draws = pool.map(_aloha_links, topologies, [p] * p.h_max,
                          np.random.SeedSequence(seed).spawn(p.h_max))
         for h, (topology, links) in enumerate(zip(topologies, draws), start=1):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from discrit import channel
 from conftest import (
     enumerate_hello_p, line_deployment, reference_hello, reference_power_histogram,
 )
@@ -54,6 +55,63 @@ def test_hello_kernel_matches_reference(kind, n, side, params, seed):
     ref = reference_hello(dep, params, seed)
     assert np.array_equal(table.c, ref.c)
     assert np.array_equal(table.b, ref.b)
+
+
+def _small_case(case_id):
+    kind, n, side, params, seed = next(c.values for c in SMALL_CASES if c.id == case_id)
+    return generate_deployment(kind, n, Region(side, side), seed), params, seed
+
+
+def _matches_reference(dep, params, seed):
+    table, ref = simulate_hello(dep, params, seed), reference_hello(dep, params, seed)
+    return np.array_equal(table.c, ref.c) and np.array_equal(table.b, ref.b)
+
+
+@pytest.mark.parametrize("case_id", ["grid-ties", "beta1.0-deterministic",
+                                     "beta4.0-deterministic", "alpha-one", "idle-slots"])
+def test_hello_exact_branch_matches_reference(monkeypatch, case_id):
+    # A band this wide holds every block total, so each listener's
+    # decision is taken from the slot loop's own sum.
+    monkeypatch.setattr(channel, "HELLO_BAND", 1e20)
+    assert _matches_reference(*_small_case(case_id))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("case_id", ["alpha-one", "idle-slots"])
+def test_hello_block_sizes_match_reference(monkeypatch, case_id, block):
+    # Blocks with no transmitter and with every node transmitting.
+    monkeypatch.setattr(channel, "HELLO_BLOCK_SLOTS", block)
+    assert _matches_reference(*_small_case(case_id))
+
+
+def _spy_blocks(monkeypatch):
+    calls = []
+    blocks = channel._hello_blocks
+    monkeypatch.setattr(channel, "_hello_blocks", lambda *args: calls.append(1) or blocks(*args))
+    return calls
+
+
+def test_hello_kernel_follows_params(monkeypatch):
+    calls = _spy_blocks(monkeypatch)
+    dep = generate_deployment("uniform-iid", 30, Region(300, 300), 5)
+    for params, blocks in ((SMALL, True), (replace(SMALL, beta=1.0), True),
+                           (replace(SMALL, beta=0.5), False),
+                           (replace(SMALL, **RAYLEIGH), False)):
+        calls.clear()
+        simulate_hello(dep, params, 0)
+        assert bool(calls) == blocks, params
+
+
+def test_hello_coincident_nodes_match_reference(monkeypatch):
+    # Two nodes at one point have an infinite gain, and 0 * inf in a
+    # block total is NaN, so this deployment takes the slot loop.
+    calls = _spy_blocks(monkeypatch)
+    dep = generate_deployment("uniform-iid", 200, Region(500, 500), 3)
+    pos = dep.positions.copy()
+    pos[1] = pos[0]
+    with np.errstate(divide="ignore"):
+        assert _matches_reference(Deployment(pos, "uniform-iid", dep.region, 3), SMALL, 3)
+    assert not calls
 
 
 # One acceptance seed only: the reference loop takes about 10 s a seed at n=1000.

@@ -157,6 +157,11 @@ def test_find_h_opt_rows_independent_of_cpu_count(monkeypatch):
     for cpus in ({0}, set(range(P.h_max))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         assert find_h_opt(dep, cgg, P, seed=3)[1] == rows, cpus
+    # Off Linux there is no sched_getaffinity; the CPU count stands in.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert find_h_opt(dep, cgg, P, seed=3)[1] == rows
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # which may not know either
+    assert find_h_opt(dep, cgg, P, seed=3)[1] == rows
 
 
 def test_find_h_opt_calls_public_functions_on_main_thread(monkeypatch):
