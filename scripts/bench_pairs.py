@@ -6,11 +6,13 @@
         --claim pipeline-n1000:seed_s --note "what the change does" --out BENCH_14.json
 
 Each side runs from a `git archive` of its commit in --workdir, so
-neither side sees the working tree. Pair k of a workload runs program
-seed --first-seed + k on both sides; even pairs run the parent first,
-odd pairs the change first. Then one traced pair per workload runs
-(--trace 1, seed --trace-seed), and with --tier1 the tier-1 tests run
-once per side. The output holds every run's last-line result and host
+neither side sees the working tree. The tier-1 tests run once per side.
+Every run gets the run_seconds budget of BENCHMARK.json. Pair k of a
+workload runs program seed FIRST_SEED + k on both sides; even pairs run
+the parent first, odd pairs the change first. Then one traced pair per
+workload runs (--trace 1, seed TRACE_SEED), the parent first for the
+first, third, ... workload of the plan and the change first for the
+others. The output holds every run's last-line result and host
 line, and per workload each end-to-end metric's median and quartiles
 per side, every run's value, and how many pairs the change won (ties
 count for neither). It is rewritten after every run, so a stopped
@@ -36,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+FIRST_SEED = 80  # program seed of the first untraced pair of a workload
+TRACE_SEED = 90  # program seed of the traced pairs
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -133,21 +137,16 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD", help="changed commit")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                     help="alternated untraced pairs of a workload (repeatable)")
-    ap.add_argument("--first-seed", type=int, default=80)
-    ap.add_argument("--trace-seed", type=int, default=90)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per-run budget; default: run_seconds of BENCHMARK.json")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
                     help="the metric whose gain the change claims")
     ap.add_argument("--note", default="", help="one line on what the change does")
-    ap.add_argument("--tier1", action="store_true", help="also run the tier-1 tests per side")
     ap.add_argument("--workdir", type=Path, default=ROOT / ".bench_pairs",
                     help="where the two checkouts go (emptied first)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     plan = [(w, int(k)) for w, k in (spec.split("=") for spec in args.pairs)]
     trees = {side: args.workdir / side for side in SIDES}
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
     runs, record = [], {}
 
     def write():
-        counts = ", ".join(f"{w} {k} pairs (seeds {args.first_seed}-{args.first_seed + k - 1})"
+        counts = ", ".join(f"{w} {k} pairs (seeds {FIRST_SEED}-{FIRST_SEED + k - 1})"
                            for w, k in plan)
         record.update({
             "_doc": (f"Alternated parent/change runs of `python3 bench/run.py --workload W "
@@ -168,8 +167,10 @@ def main(argv=None) -> int:
                      f"the host line and the last-line result JSON of bench/run.py. {counts}. "
                      f"`summary` gives each end-to-end metric's median and quartiles per side, "
                      f"every run's value, and how many pairs the change won (ties count for "
-                     f"neither). The traced pair per workload (--trace 1, seed "
-                     f"{args.trace_seed}) is in `traced`, with every per-layer metric per side."),
+                     f"neither). The traced pair per workload (--trace 1, seed {TRACE_SEED}; "
+                     f"the parent first for the 1st, 3rd, ... workload listed, the change first "
+                     f"for the others) is in `traced`, with every per-layer metric per side. "
+                     f"`tier1` holds each side's tier-1 test counts."),
             "change": args.note, "parent_commit": commits["parent"],
             "change_commit": commits["change"],
             "summary": summarize(runs, directions), "traced": traced(runs), "runs": runs})
@@ -181,13 +182,13 @@ def main(argv=None) -> int:
                         "by more than the parent's interquartile distance"}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    if args.tier1:
-        record["tier1"] = {side: tier1(trees[side]) for side in SIDES}
-        record["tier1"]["command"] = "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])
-    jobs = [(w, k, args.first_seed + k, 0) for w, n in plan for k in range(n)]
-    jobs += [(w, 0, args.trace_seed, 1) for w, _ in plan]
-    for workload, pair, seed, trace in jobs:
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+    record["tier1"] = {side: tier1(trees[side]) for side in SIDES}
+    record["tier1"]["command"] = "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])
+    # (workload, pair, seed, trace, which side runs first: 0 the parent, 1 the change)
+    jobs = [(w, k, FIRST_SEED + k, 0, k % 2) for w, n in plan for k in range(n)]
+    jobs += [(w, 0, TRACE_SEED, 1, pos % 2) for pos, (w, _) in enumerate(plan)]
+    for workload, pair, seed, trace, flip in jobs:
+        order = SIDES[::-1] if flip else SIDES
         for side in order:
             run = bench_run(trees[side], workload, seed, seconds, trace)
             runs.append({"workload": workload, "seed": seed, "trace": trace, "side": side,
