@@ -74,8 +74,8 @@ class ChannelParams:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not (0 <= self.alpha <= 1):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not (0 < self.alpha <= 1):
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.fading not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.fading!r}")
         if self.fading_mean <= 0:
@@ -131,34 +131,30 @@ class LinkWeightTable:
 
 
 def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
-    if params.alpha == 0:  # before either Hello kernel starts
-        raise ValueError("alpha = 0 broadcasts nothing")
     d = distance_matrix(dep)
     np.fill_diagonal(d, np.inf)  # no self-reception, avoids 0**-eta
     return params.p_t * d ** -params.eta
 
 
 def _slots(gain: np.ndarray, rng, params: ChannelParams):
-    """Yield (tx, rx, sig, cols, total) per Hello slot: transmitter and
-    listener ids, and faded powers sig, one row per transmitter, in which
-    listener rx[m] is column cols[m] and hears total[m] in all (sig is None
-    if nobody or everybody transmits). Per slot the draw order is: transmit
-    indicators, then rayleigh-power coefficients per (tx, rx) pair."""
+    """Yield (tx, rx, sig, total) per Hello slot: transmitter and listener
+    ids, the faded power sig[k, m] from tx[k] at rx[m], and the total[m]
+    that rx[m] hears in all (sig and total are None if nobody or everybody
+    transmits). Per slot the draw order is: transmit indicators, then
+    rayleigh-power coefficients per (tx, rx) pair."""
     n = gain.shape[0]
     for _ in range(params.slots):
         transmitting = rng.random(n) < params.alpha
         tx = np.flatnonzero(transmitting)
         rx = np.flatnonzero(~transmitting)
         if tx.size == 0 or rx.size == 0:
-            yield tx, rx, None, None, None
+            yield tx, rx, None, None
             continue
-        # Keep sig C-ordered (take, not sig[:, rx]): axis-0 sums add in tx order.
-        sig, cols = gain[tx], rx
+        # Keep sig C-ordered (take, not [:, rx]): axis-0 sums add in tx order.
+        sig = gain[tx].take(rx, axis=1)
         if params.fading == "rayleigh-power":
-            sig = sig.take(rx, axis=1)
             sig *= rng.exponential(params.fading_mean, size=sig.shape)
-            cols = np.arange(rx.size)
-        yield tx, rx, sig, cols, sig.sum(axis=0)[cols]
+        yield tx, rx, sig, sig.sum(axis=0)
 
 
 HELLO_BLOCK_SLOTS = 64  # slots per block of deterministic capture
@@ -213,16 +209,16 @@ def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWei
         _hello_blocks(gain, rng, params, c, b)
         return LinkWeightTable.from_counts(c, b)
     counts = c.reshape(-1)  # a view; decoded (tx, rx) pairs are unique per slot
-    for tx, rx, sig, cols, total in _slots(gain, rng, params):
+    for tx, rx, sig, total in _slots(gain, rng, params):
         b[tx] += 1
         if sig is None:
             continue
         need = params.beta * (params.sigma2 + total)
         if params.beta >= 1:
-            j = np.flatnonzero(sig.max(axis=0)[cols] * (1.0 + params.beta) >= need)
-            i = sig[:, cols[j]].argmax(axis=0)
+            j = np.flatnonzero(sig.max(axis=0) * (1.0 + params.beta) >= need)
+            i = sig[:, j].argmax(axis=0)
         else:
-            i, j = np.nonzero(sig[:, cols] * (1.0 + params.beta) >= need)
+            i, j = np.nonzero(sig * (1.0 + params.beta) >= need)
         counts[tx[i] * n + rx[j]] += 1
     return LinkWeightTable.from_counts(c, b)
 
@@ -302,7 +298,7 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
     ring = square_annulus_index(dep, annuli)
     samples = [[] for _ in range(annuli)]
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
-    for _, rx, sig, _, total in _slots(gain, rng, params):
+    for _, rx, sig, total in _slots(gain, rng, params):
         if sig is not None:
             rx_ring = ring[rx]
             for a, s in enumerate(samples):

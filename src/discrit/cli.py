@@ -18,8 +18,8 @@ from . import config as config_mod
 from .channel import ChannelParams, save_link_weights, simulate_hello
 from .discretize import rho_stats, save_rho_histogram_csv
 from .geometry import (
-    Region, generate_deployment, interior_nodes, save_csv, save_deployment_json,
-    save_positions_csv,
+    DEPLOYMENT_KINDS, Region, generate_deployment, interior_nodes, save_csv,
+    save_deployment_json, save_positions_csv,
 )
 from .graphs import (
     critical_radius, degree1_radius, disparity, load_graph, save_graph,
@@ -256,8 +256,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory (overrides config)")
     sub.add_argument("--seed", type=int, help="single seed (overrides config seeds)")
     sub.add_argument("--n", type=int, help="node count override")
-    sub.add_argument("--kind", choices=["uniform-iid", "randomised-lattice", "grid"],
-                     help="deployment kind override")
+    sub.add_argument("--kind", choices=DEPLOYMENT_KINDS, help="deployment kind override")
     sub.add_argument("--margin", type=float, help="interior margin fraction override")
 
 

@@ -7,10 +7,12 @@ list, so re-running a config reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -18,8 +20,25 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .channel import ChannelParams
+from .geometry import DEPLOYMENT_KINDS, Region
+from .selforg import SelfOrgParams
 
 OUTPUT_DIR_ENV = "DISCRIT_OUTPUT_DIR"
+
+_JSON_TYPES = {float: "number", int: "integer", str: "string", float | None: ["number", "null"]}
+
+
+def _param_block(cls) -> dict:
+    """The config block of a parameter class: one key per field, typed from
+    its annotation. The values are checked by cls itself (validate_config)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {f.name: {"type": _JSON_TYPES[hints[f.name]]} for f in dataclasses.fields(cls)},
+    }
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -33,32 +52,12 @@ CONFIG_SCHEMA = {
             "required": ["kind", "n"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["uniform-iid", "randomised-lattice", "grid"]},
+                "kind": {"enum": list(DEPLOYMENT_KINDS)},
                 "n": {"type": "integer", "minimum": 2},
-                "region": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "width": {"type": "number", "exclusiveMinimum": 0},
-                        "height": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
+                "region": _param_block(Region),
             },
         },
-        "channel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "p_t": {"type": "number", "exclusiveMinimum": 0},
-                "eta": {"type": "number", "minimum": 2},
-                "sigma2": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-                "fading": {"enum": ["deterministic", "rayleigh-power"]},
-                "fading_mean": {"type": "number", "exclusiveMinimum": 0},
-                "slots": {"type": "integer", "minimum": 1},
-            },
-        },
+        "channel": _param_block(ChannelParams),
         "protocol": {
             "type": "object",
             "additionalProperties": False,
@@ -79,21 +78,7 @@ CONFIG_SCHEMA = {
                 },
             },
         },
-        "selforg": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha0": {"type": "number", "exclusiveMinimum": 0},
-                "p_t": {"type": "number", "exclusiveMinimum": 0},
-                "sigma2": {"type": "number", "exclusiveMinimum": 0},
-                "eta": {"type": "number", "exclusiveMinimum": 0},
-                "w": {"type": "number", "exclusiveMinimum": 0},
-                "q": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "slots": {"type": "integer", "minimum": 1},
-                "a": {"type": ["number", "null"]},
-                "h_max": {"type": "integer", "minimum": 1},
-            },
-        },
+        "selforg": _param_block(SelfOrgParams),
         "localize": {
             "type": "object",
             "additionalProperties": False,
@@ -104,17 +89,32 @@ CONFIG_SCHEMA = {
     },
 }
 
+# JSON integers only: jsonschema's own "integer" also takes floats such as 300.0.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: type(x) is int))
+
 
 class ConfigError(ValueError):
     pass
 
 
 def validate_config(doc: dict) -> dict:
+    """Check doc against CONFIG_SCHEMA, then the parameter blocks against
+    their classes, so that every error is raised before a stage runs."""
     try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
+        jsonschema.validate(doc, CONFIG_SCHEMA, cls=_Validator)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
+    for path, cls, block in (("deployment/region", Region, doc["deployment"].get("region", {})),
+                             ("channel", ChannelParams, doc.get("channel", {})),
+                             ("selforg", SelfOrgParams, doc.get("selforg", {}))):
+        try:
+            cls(**block)
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at {path}: {exc}") from None
     return doc
 
 

@@ -57,6 +57,8 @@ class SelfOrgParams:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         if self.h_max < 1:
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
+        if self.a is not None and self.a <= 0:
+            raise ValueError(f"a must be > 0, got {self.a}")
 
 
 # Attempt indicators drawn per chunk of MAC slots. The chunk size sets

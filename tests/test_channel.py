@@ -144,8 +144,8 @@ def test_params_validation():
 
 def test_alpha_zero_is_error():
     dep = line_deployment([1.0, 4.0], side=10.0)
-    params = ChannelParams(p_t=1, eta=2, sigma2=1, beta=1, alpha=0.0, slots=10)
     with pytest.raises(ValueError):
+        params = ChannelParams(p_t=1, eta=2, sigma2=1, beta=1, alpha=0.0, slots=10)
         simulate_hello(dep, params, 0)
 
 
@@ -296,8 +296,8 @@ def test_power_histogram_masses_normalised():
             assert masses.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         received_power_histogram(dep, params, 4, annuli=0)
-    silent = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.0, slots=10)
     with pytest.raises(ValueError):
+        silent = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.0, slots=10)
         received_power_histogram(dep, silent, 4, annuli=5)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,7 +87,7 @@ def test_grid_interior_eval_runs(tmp_path):
 
 def test_infinite_region_side_rejected(tmp_path):
     doc = json.loads('{"deployment": {"kind": "grid", "n": 4, "region": {"width": Infinity}}}')
-    with pytest.raises(RuntimeError, match="stage 'deploy' failed .*finite"):
+    with pytest.raises(ConfigError, match="deployment/region: .*finite"):
         run_pipeline(dict(doc, output_dir=str(tmp_path / "out"), seeds=[0]))
 
 
@@ -102,10 +103,33 @@ def test_selforg_q_bound_matches_params(tmp_path):
     doc = validate_config(minimal_config(tmp_path, selforg={"q": 1}))
     params = SelfOrgParams(**doc["selforg"])
     assert params.q == 1 and params.h_max == 8
-    with pytest.raises(ConfigError, match="selforg/q"):
+    with pytest.raises(ConfigError, match="selforg: q must be"):
         validate_config(minimal_config(tmp_path, selforg={"q": 1.01}))
     with pytest.raises(ValueError, match="q must be"):  # the params still validate
         SelfOrgParams(q=0)
+
+
+@pytest.mark.parametrize("extra", [
+    {"seeds": [1.0]},
+    {"deployment": {"kind": "uniform-iid", "n": 100.0}},
+    {"channel": {"slots": 300.0}},
+    {"selforg": {"h_max": 2.0}},
+    {"channel": {"alpha": 0}},
+    {"deployment": {"kind": "grid", "n": 4, "region": {"width": math.inf}}},
+    {"selforg": {"a": -1}},
+    {"channel": {"slots": True}},
+], ids=["seed-float", "n-float", "slots-float", "h_max-float", "alpha-zero", "width-inf",
+        "a-negative", "slots-bool"])
+def test_config_rejected_before_any_stage(tmp_path, extra):
+    # All but slots-bool once passed validation and then failed in a stage,
+    # or ran on a nonsense value, after a seed directory had been written.
+    # slots-bool holds the integer type to exclude bool, as jsonschema's does.
+    doc = minimal_config(tmp_path, **extra)
+    with pytest.raises(ConfigError):
+        validate_config(doc)
+    with pytest.raises(ConfigError):
+        run_pipeline(doc)
+    assert not list(tmp_path.glob("out/seed-*"))
 
 
 def test_config_blocks_are_param_fields():
