@@ -66,21 +66,16 @@ class ChannelParams:
     slots: int = 5000
 
     def __post_init__(self):
-        if self.p_t <= 0:
-            raise ValueError(f"p_t must be > 0, got {self.p_t}")
-        if self.eta < 2:
+        for name in ("p_t", "sigma2", "beta", "fading_mean"):  # written so that NaN fails
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not (self.eta >= 2):
             raise ValueError(f"eta must be >= 2, got {self.eta}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
         if not (0 < self.alpha <= 1):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.fading not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.fading!r}")
-        if self.fading_mean <= 0:
-            raise ValueError(f"fading_mean must be > 0, got {self.fading_mean}")
-        if self.slots < 1:
+        if not (self.slots >= 1):
             raise ValueError(f"slots must be >= 1, got {self.slots}")
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: deploy, hello, discrit, eval, discretize, selforg,
 localize, pipeline, compare. Every subcommand takes an optional JSON
-config (see config.CONFIG_SCHEMA) plus override flags; all randomness
-comes from the config's seeds, so re-running a config rewrites every
+config (checked by config.validate_config) plus override flags; all
+randomness comes from the seeds, so re-running a config rewrites every
 artifact byte for byte.
 """
 

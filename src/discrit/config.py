@@ -1,8 +1,12 @@
-"""Experiment configuration: JSON schema, validation, manifests.
+"""Experiment configuration: validation, hashing, manifests.
 
 A config is a single JSON document; every stage block is optional
 except the deployment. All randomness flows from the explicit seeds
 list, so re-running a config reproduces every artifact byte for byte.
+
+validate_config checks keys and JSON types (CONFIG_KEYS), then asks each
+value rule of its owner (the parameter classes, geometry.check_deployment,
+protocol.check_termination); _RULES holds the rules no module owns.
 """
 
 from __future__ import annotations
@@ -15,106 +19,98 @@ import sys
 import typing
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
 from . import __version__
 from .channel import ChannelParams
-from .geometry import DEPLOYMENT_KINDS, Region
+from .geometry import Region, check_deployment
+from .protocol import check_termination
 from .selforg import SelfOrgParams
 
 OUTPUT_DIR_ENV = "DISCRIT_OUTPUT_DIR"
 
-_JSON_TYPES = {float: "number", int: "integer", str: "string", float | None: ["number", "null"]}
+
+def _fields(cls) -> dict:
+    """A parameter class's block: one key per field, typed by its annotation."""
+    return {f.name: typing.get_type_hints(cls)[f.name] for f in dataclasses.fields(cls)}
 
 
-def _param_block(cls) -> dict:
-    """The config block of a parameter class: one key per field, typed from
-    its annotation. The values are checked by cls itself (validate_config)."""
-    hints = typing.get_type_hints(cls)
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {f.name: {"type": _JSON_TYPES[hints[f.name]]} for f in dataclasses.fields(cls)},
-    }
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["output_dir", "seeds", "deployment"],
-    "additionalProperties": False,
-    "properties": {
-        "output_dir": {"type": "string"},
-        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
-        "deployment": {
-            "type": "object",
-            "required": ["kind", "n"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(DEPLOYMENT_KINDS)},
-                "n": {"type": "integer", "minimum": 2},
-                "region": _param_block(Region),
-            },
-        },
-        "channel": _param_block(ChannelParams),
-        "protocol": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["distance", "discrit"]},
-                "termination": {"enum": ["centralized", "distributed"]},
-                "timeout_rounds": {"type": "integer", "minimum": 1},
-                "suppress": {"type": "boolean"},
-            },
-        },
-        "interior_margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
-        "discretize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "pair_sample": {
-                    "anyOf": [{"enum": ["all"]}, {"type": "integer", "minimum": 1}],
-                },
-            },
-        },
-        "selforg": _param_block(SelfOrgParams),
-        "localize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "graph": {"enum": ["critical", "protocol"]},
-            },
-        },
-    },
+# Keys and JSON types; a dict is a block. int is a JSON integer (not
+# 300.0, not true), float any number but a bool, float | None also null.
+CONFIG_KEYS = {
+    "output_dir": str,
+    "seeds": list[int],
+    "deployment": {"kind": str, "n": int, "region": _fields(Region)},
+    "channel": _fields(ChannelParams),
+    "protocol": {"mode": str, "termination": str, "timeout_rounds": int, "suppress": bool},
+    "interior_margin": float,
+    "discretize": {"pair_sample": str | int},
+    "selforg": _fields(SelfOrgParams),
+    "localize": {"graph": str},
 }
+_REQUIRED = {"": ("output_dir", "seeds", "deployment"), "deployment": ("kind", "n")}
 
-# JSON integers only: jsonschema's own "integer" also takes floats such as 300.0.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: type(x) is int))
+# Value rules that no module owns, by key path. Each is written so that NaN fails it.
+_RULES = {
+    "seeds": (lambda s: s and min(s) >= 0 and len(set(s)) == len(s), "distinct seeds >= 0"),
+    "interior_margin": (lambda m: 0 <= m < 0.5, "0 <= interior_margin < 0.5"),
+    "protocol/mode": (lambda v: v in ("distance", "discrit"), "'distance' or 'discrit'"),
+    "discretize/pair_sample": (lambda v: v == "all" or type(v) is int and v > 0, "'all' or a count > 0"),
+    "localize/graph": (lambda v: v in ("critical", "protocol"), "'critical' or 'protocol'"),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _invalid(path: str, msg) -> ConfigError:
+    return ConfigError(f"config invalid at {path or '<root>'}: {msg}")
+
+
+def _is(value, typ) -> bool:
+    """Whether a JSON value has a CONFIG_KEYS type."""
+    if typing.get_origin(typ) is list:
+        return type(value) is list and all(_is(v, typing.get_args(typ)[0]) for v in value)
+    if typing.get_args(typ):  # a union
+        return any(_is(value, t) for t in typing.get_args(typ))
+    return type(value) is typ or (typ is float and type(value) is int)
+
+
+def _walk(block, keys: dict, path: str) -> None:
+    if type(block) is not dict:
+        raise _invalid(path, f"expected an object, got {block!r}")
+    for key in _REQUIRED.get(path, ()):
+        if key not in block:
+            raise _invalid(path, f"missing required key {key!r}")
+    for key, value in block.items():
+        at = f"{path}/{key}" if path else key
+        if key not in keys:
+            raise _invalid(path, f"unknown key {key!r}")
+        typ = keys[key]
+        if isinstance(typ, dict):
+            _walk(value, typ, at)
+        elif not _is(value, typ):
+            raise _invalid(at, f"expected {typ.__name__ if isinstance(typ, type) else typ}, got {value!r}")
+        elif at in _RULES and not _RULES[at][0](value):
+            raise _invalid(at, f"need {_RULES[at][1]}, got {value!r}")
+
+
 def validate_config(doc: dict) -> dict:
-    """Check doc against CONFIG_SCHEMA, then the parameter blocks against
-    their classes, so that every error is raised before a stage runs."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA, cls=_Validator)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from None
-    for path, cls, block in (("deployment/region", Region, doc["deployment"].get("region", {})),
-                             ("channel", ChannelParams, doc.get("channel", {})),
-                             ("selforg", SelfOrgParams, doc.get("selforg", {}))):
+    """Raise ConfigError on the first rule doc breaks (module docstring); return doc."""
+    _walk(doc, CONFIG_KEYS, "")
+    dep = doc["deployment"]
+    termination = {k: v for k, v in doc.get("protocol", {}).items() if k != "mode"}
+    for path, owner, kwargs in (("deployment", check_deployment, {"kind": dep["kind"], "n": dep["n"]}),
+                                ("deployment/region", Region, dep.get("region", {})),
+                                ("channel", ChannelParams, doc.get("channel", {})),
+                                ("protocol", check_termination, termination),
+                                ("selforg", SelfOrgParams, doc.get("selforg", {}))):
         try:
-            cls(**block)
+            owner(**kwargs)
         except ValueError as exc:
-            raise ConfigError(f"config invalid at {path}: {exc}") from None
+            raise _invalid(path, exc) from None
     return doc
 
 

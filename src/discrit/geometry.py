@@ -87,6 +87,16 @@ def subset_ids(ids, n: int) -> np.ndarray:
     return ids
 
 
+def check_deployment(kind: str, n: int) -> None:
+    """Raise ValueError unless generate_deployment can draw n nodes of this kind."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if kind not in DEPLOYMENT_KINDS:
+        raise ValueError(f"unknown deployment kind {kind!r}")
+    if kind == "grid" and math.isqrt(n) ** 2 != n:
+        raise ValueError(f"grid deployment needs a perfect-square node count, got {n}")
+
+
 def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deployment:
     """Draw a deployment of ``n`` nodes.
 
@@ -96,10 +106,7 @@ def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deploym
     node uniformly per cell. grid places nodes at the centers of a
     sqrt(n) x sqrt(n) cell grid.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if kind not in DEPLOYMENT_KINDS:
-        raise ValueError(f"unknown deployment kind {kind!r}")
+    check_deployment(kind, n)
     w, h = region.width, region.height
     rng = np.random.default_rng(seed)
 
@@ -115,8 +122,6 @@ def generate_deployment(kind: str, n: int, region: Region, seed: int) -> Deploym
         pos = np.column_stack([(col + u[:, 0]) * cw, (row + u[:, 1]) * ch])
     else:  # grid
         k = math.isqrt(n)
-        if k * k != n:
-            raise ValueError(f"grid deployment needs a perfect-square node count, got {n}")
         idx = np.arange(n)
         row, col = np.divmod(idx, k)
         pos = np.column_stack([(col + 0.5) * (w / k), (row + 0.5) * (h / k)])

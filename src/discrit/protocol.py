@@ -85,19 +85,22 @@ def _check_round_invariants(prev, new, initial_set, kmax, mode):
         raise InvariantViolation(f"{mode}: absorbed threshold changed")
 
 
+def check_termination(termination="centralized", timeout_rounds=1, suppress=True) -> None:
+    """Raise ValueError unless a run with these options (run_* defaults) can end."""
+    if termination not in ("centralized", "distributed"):
+        raise ValueError(f"unknown termination mode {termination!r}")
+    if not (timeout_rounds >= 1):
+        raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
+    if termination == "distributed" and not suppress:
+        raise ValueError("distributed termination needs suppression, or messages never cease")
+
+
 def _run_minmax(n, src, dst, key, mode, natural, termination, timeout_rounds, suppress):
     """Engine core. Holder ``src[k]`` keeps ``key[k]`` for neighbour
     ``dst[k]``, lower = closer. No pair is a self pair, every node holds
     one, and every pair with key <= kmax is listed (module docstring).
     ``natural`` maps engine keys back to the mode's reported units."""
-    if termination not in ("centralized", "distributed"):
-        raise ValueError(f"unknown termination mode {termination!r}")
-    if termination == "distributed":
-        if timeout_rounds < 1:
-            raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
-        if not suppress:
-            raise ValueError("distributed termination needs message suppression; "
-                             "without it messages never cease")
+    check_termination(termination, timeout_rounds, suppress)
     thr = np.full(n, np.inf)
     np.minimum.at(thr, src, key)
     initial_set = set(thr.tolist())

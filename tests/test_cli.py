@@ -11,7 +11,8 @@ import pytest
 import discrit
 from discrit.channel import ChannelParams
 from discrit.cli import compare_graphs, main, run_pipeline
-from discrit.config import CONFIG_SCHEMA, ConfigError, config_hash, validate_config
+from discrit.config import CONFIG_KEYS, ConfigError, config_hash, validate_config
+from discrit.geometry import Region
 from discrit.graphs import EdgeGraph, save_graph
 from discrit.selforg import SelfOrgParams
 
@@ -118,12 +119,21 @@ def test_selforg_q_bound_matches_params(tmp_path):
     {"deployment": {"kind": "grid", "n": 4, "region": {"width": math.inf}}},
     {"selforg": {"a": -1}},
     {"channel": {"slots": True}},
+    {"deployment": {"kind": "grid", "n": 5}},
+    {"channel": {"p_t": math.nan}},
+    {"channel": {"eta": math.nan}},
+    {"selforg": {"a": math.nan}},
+    {"interior_margin": math.nan},
+    {"protocol": {"mode": "distance", "termination": "distributed", "suppress": False}},
+    {"seeds": [0, 0]},
 ], ids=["seed-float", "n-float", "slots-float", "h_max-float", "alpha-zero", "width-inf",
-        "a-negative", "slots-bool"])
+        "a-negative", "slots-bool", "grid-n5", "p_t-nan", "eta-nan", "a-nan", "margin-nan",
+        "distributed-unsuppressed", "seeds-dup"])
 def test_config_rejected_before_any_stage(tmp_path, extra):
     # All but slots-bool once passed validation and then failed in a stage,
-    # or ran on a nonsense value, after a seed directory had been written.
-    # slots-bool holds the integer type to exclude bool, as jsonschema's does.
+    # ran on a nonsense value, or (seeds-dup) ran a seed twice, after a seed
+    # directory had been written. slots-bool checks that an integer key
+    # takes no bool.
     doc = minimal_config(tmp_path, **extra)
     with pytest.raises(ConfigError):
         validate_config(doc)
@@ -132,12 +142,17 @@ def test_config_rejected_before_any_stage(tmp_path, extra):
     assert not list(tmp_path.glob("out/seed-*"))
 
 
-def test_config_blocks_are_param_fields():
-    # A block is the keyword set of its constructor, so a key the schema
-    # accepts always reaches the params, and no field lacks a key.
+def test_config_blocks_are_param_fields(tmp_path):
+    # A block is the keyword set of its constructor, so a key the config
+    # accepts always reaches the params, and no field lacks a key; every
+    # field's default has the JSON type its key takes.
     for block, cls in (("channel", ChannelParams), ("selforg", SelfOrgParams)):
-        keys = set(CONFIG_SCHEMA["properties"][block]["properties"])
+        keys = set(CONFIG_KEYS[block])
         assert keys == {f.name for f in dataclasses.fields(cls)}, block
+        validate_config(minimal_config(tmp_path, **{block: dataclasses.asdict(cls())}))
+        with pytest.raises(ConfigError, match=f"{block}: unknown key 'extra'"):
+            validate_config(minimal_config(tmp_path, **{block: {"extra": 1}}))
+    assert set(CONFIG_KEYS["deployment"]["region"]) == {f.name for f in dataclasses.fields(Region)}
 
 
 def test_param_defaults_match_readme():
@@ -161,10 +176,10 @@ def test_localize_margin_key_rejected(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(discrit.__file__).resolve().parent.parent)
-    code = "import sys, discrit.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, discrit.cli; print('scipy.stats' in sys.modules, 'jsonschema' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_cli_main_deploy_and_flags(tmp_path, capsys):
