@@ -5,7 +5,7 @@ listens otherwise. A transmission from i is decoded at a listening node
 j iff the signal-to-interference-plus-noise ratio clears the threshold
 beta, with power-law path loss and per-slot fading. Directed success
 ratios C_ij / B_i estimate the per-link reception probabilities that the
-weight-based protocol consumes.
+weight-based protocol consumes, one LinkWeightTable row per heard pair.
 
 Fading is either deterministic (coefficient 1, the reproducible default)
 or rayleigh-power: an exponential with the given mean applied to the
@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix, save_csv, subset_ids
+from .geometry import Deployment, distance_matrix, remap_pairs, save_csv, subset_ids
 
 FADING_KINDS = ("deterministic", "rayleigh-power")
 
@@ -67,10 +67,10 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("p_t", "sigma2", "beta", "fading_mean"):  # written so that NaN fails
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (self.eta >= 2):
-            raise ValueError(f"eta must be >= 2, got {self.eta}")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        if not (2 <= self.eta < math.inf):
+            raise ValueError(f"eta must be >= 2 and finite, got {self.eta}")
         if not (0 < self.alpha <= 1):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.fading not in FADING_KINDS:
@@ -79,50 +79,52 @@ class ChannelParams:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinkWeightTable:
-    """Directed Hello statistics: counts c[i, j], broadcasts b[i], ratios p_hat.
+    """Directed Hello statistics, one row per heard pair (i, j), i != j.
 
-    p_hat[i, j] = c[i, j] / b[i] is the estimated probability that a
-    Hello of i is decoded at j; pairs never heard and self pairs have
-    weight 0.
+    ``pairs`` is distinct and in row-major order. Row k has c[k], the count
+    of i's Hellos decoded at j, and p_hat[k] = c[k] / b[i], the estimated
+    probability that j decodes a Hello of i; b[i] counts i's broadcasts.
     """
 
+    n: int
+    pairs: np.ndarray
     c: np.ndarray
     b: np.ndarray
     p_hat: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
+        pairs = np.asarray(self.pairs, dtype=np.intp)
+        c, b = np.asarray(self.c, dtype=np.int64), np.asarray(self.b, dtype=np.int64)
         p = np.asarray(self.p_hat, dtype=np.float64)
-        n = c.shape[0]
-        if c.shape != (n, n) or b.shape != (n,) or p.shape != (n, n):
+        if p.ndim != 1 or c.shape != p.shape or pairs.shape != p.shape + (2,) or b.shape != (self.n,):
             raise ValueError("inconsistent table shapes")
-        if np.any(np.diag(c) != 0) or np.any(np.diag(p) != 0):
-            raise ValueError("self counts and weights must be zero")
-        if np.any(c < 0) or np.any(b < 0) or np.any(c > b[:, None]):
-            raise ValueError("need 0 <= c[i, j] <= b[i]")
-        if not np.all((p >= 0) & (p <= 1)):  # also rejects NaN
-            raise ValueError("p_hat must lie in [0, 1]")
-        self.c, self.b, self.p_hat = c, b, p
+        i, j = pairs.T
+        if np.any((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= self.n)):
+            raise ValueError(f"a pair must join two distinct nodes of 0..{self.n - 1}")
+        if np.any(np.diff(i * self.n + j) <= 0):
+            raise ValueError("pairs must be distinct and in row-major order")
+        if np.any(c < 0) or np.any(b < 0) or np.any(c > b[i]):
+            raise ValueError("need 0 <= c <= b[i]")
+        if not np.all((p > 0) & (p <= 1)):  # also rejects NaN
+            raise ValueError("p_hat must lie in (0, 1]")
+        for name, a in (("pairs", pairs), ("c", c), ("b", b), ("p_hat", p)):
+            a.setflags(write=False)  # read-only, as the table is frozen
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_counts(cls, c, b) -> "LinkWeightTable":
-        c = np.asarray(c, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        with np.errstate(invalid="ignore"):
-            p = np.where(b[:, None] > 0, c / np.maximum(b[:, None], 1), 0.0)
-        return cls(c, b, p)
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
+        """The rows of the nonzero counts c[i, j] of a dense (n, n) table."""
+        c, b = np.asarray(c, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        i, j = np.nonzero(c)
+        return cls(len(b), np.column_stack([i, j]), c[i, j], b, c[i, j] / b[i])
 
     def subset(self, ids) -> "LinkWeightTable":
-        """Restriction to the given node ids, re-indexed by sorted order."""
+        """Restriction to the given node ids, re-indexed by sorted order; rows keep c and p_hat."""
         ids = subset_ids(ids, self.n)
-        return LinkWeightTable.from_counts(self.c[np.ix_(ids, ids)], self.b[ids])
+        pairs, keep = remap_pairs(self.pairs, ids, self.n)
+        return LinkWeightTable(ids.size, pairs, self.c[keep], self.b[ids], self.p_hat[keep])
 
 
 def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
@@ -197,8 +199,7 @@ def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWei
     is tested (capture, see the module docstring), else every pair."""
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
     n = dep.n
-    c = np.zeros((n, n), dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
+    c, b = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)  # c: dense scratch
     # Coincident nodes give an infinite gain, and 0 * inf in a block total is NaN.
     if params.fading == "deterministic" and params.beta >= 1 and np.isfinite(gain.sum()):
         _hello_blocks(gain, rng, params, c, b)
@@ -350,14 +351,14 @@ def homogeneity_check(dep: Deployment, r: float, eps: float,
 
 
 def save_link_weights(table: LinkWeightTable, prefix) -> tuple[Path, Path]:
-    """Write <prefix>.weights.csv (``i,j,C,B,p_hat``; rows with C > 0) and
-    <prefix>.weights.json carrying n and the full broadcast counts."""
+    """Write <prefix>.weights.csv (``i,j,C,B,p_hat``, one row per heard
+    pair in the table's order) and <prefix>.weights.json carrying n and
+    the full broadcast counts."""
     prefix = Path(prefix)
     csv_path = prefix.with_name(prefix.name + ".weights.csv")
     meta_path = prefix.with_name(prefix.name + ".weights.json")
-    ii, jj = np.nonzero(table.c)
-    save_csv(csv_path, ["i", "j", "C", "B", "p_hat"],
-             ii, jj, table.c[ii, jj], table.b[ii], table.p_hat[ii, jj])
+    i, j = table.pairs.T
+    save_csv(csv_path, ["i", "j", "C", "B", "p_hat"], i, j, table.c, table.b[i], table.p_hat)
     meta_path.write_text(json.dumps({"n": table.n, "b": table.b.tolist()}) + "\n")
     return csv_path, meta_path
 

@@ -87,6 +87,14 @@ def subset_ids(ids, n: int) -> np.ndarray:
     return ids
 
 
+def remap_pairs(pairs: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``pairs`` inside the sorted ``ids``, renumbered by place (so still sorted), and their mask."""
+    remap = np.full(n, -1, dtype=np.intp)
+    remap[ids] = np.arange(ids.size)
+    keep = (remap[pairs] >= 0).all(axis=1)
+    return remap[pairs[keep]], keep
+
+
 def check_deployment(kind: str, n: int) -> None:
     """Raise ValueError unless generate_deployment can draw n nodes of this kind."""
     if n < 2:

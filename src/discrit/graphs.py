@@ -3,8 +3,8 @@
 Geometric graphs use the closed-ball rule: edge (i, j) present iff
 d_ij <= r; a KD-tree proposes pairs, and their exact lengths decide.
 The hop layer (``hop_matrix``, cached per graph, and ``hop_distances``)
-is a bit-parallel multi-source BFS giving read-only int64 arrays, -1 for
-unreachable pairs. ``graph_diameter`` of a disconnected graph is ``UNBOUNDED``.
+is a bit-parallel multi-source BFS giving read-only arrays of the smallest
+signed type holding -n, -1 for unreachable pairs; ``graph_diameter`` is ``UNBOUNDED`` if disconnected.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix, pair_distances, save_csv, subset_ids
+from .geometry import Deployment, distance_matrix, pair_distances, remap_pairs, save_csv, subset_ids
 
 
 class _Marker:
@@ -93,15 +93,15 @@ BFS_BLOCK = 512  # sources per pass of the multi-source BFS, one bit each
 
 
 def _bfs_hops(g: EdgeGraph, sources=None) -> np.ndarray:
-    """Read-only int64 hop counts from ``sources`` (every node if None)
-    to every node, one row per source; -1 = unreachable. Multi-source BFS
-    (Then et al., VLDB 2014): a node's count is the number of levels at
-    which its bit was unseen, kept in bit-sliced counter planes."""
+    """Read-only hop counts (smallest signed type holding -n) from ``sources``
+    (every node if None) to every node, one row per source; -1 = unreachable.
+    Multi-source BFS (Then et al., VLDB 2014): a node's count is the number
+    of levels at which its bit was unseen, kept in bit-sliced counter planes."""
     src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.intp)
     indptr, indices = g._csr.indptr, g._csr.indices
     # reduceat gives an empty segment its first element, not 0: skip isolated nodes
     live = np.flatnonzero(np.diff(indptr))
-    hops = np.empty((src.size, g.n), dtype=np.int64)
+    hops = np.empty((src.size, g.n), dtype=np.min_scalar_type(-g.n))
     for lo in range(0, src.size, BFS_BLOCK):
         block = src[lo:lo + BFS_BLOCK]
         k = np.arange(block.size)
@@ -230,10 +230,7 @@ def disparity(ga: EdgeGraph, gb: EdgeGraph) -> float:
 def induced_subgraph(g: EdgeGraph, ids) -> EdgeGraph:
     """Subgraph on ``ids``, re-indexed by the sorted order of ids."""
     ids = subset_ids(ids, g.n)
-    remap = np.full(g.n, -1, dtype=np.intp)
-    remap[ids] = np.arange(ids.size)
-    sub = remap[g.edges]
-    return EdgeGraph(ids.size, sub[(sub >= 0).all(axis=1)], radius=g.radius)
+    return EdgeGraph(ids.size, remap_pairs(g.edges, ids, g.n)[0], radius=g.radius)
 
 
 def save_graph(g: EdgeGraph, prefix) -> tuple[Path, Path]:

@@ -28,7 +28,7 @@ Each mode's caller already holds such a list:
   (graphs.degree1_radius) in both directions.
 * weight mode — every p-threshold starts at a weight > 0 and never
   falls below the smallest start, so the candidates are the pairs whose
-  Hellos were decoded, the nonzero entries of p_hat.
+  Hellos were decoded, the rows of the LinkWeightTable.
 """
 
 from __future__ import annotations
@@ -175,13 +175,12 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
     maximum of them and falls via min exchanges. The final directed
     adjacency is made bidirectional.
     """
-    p = weights.p_hat
-    dst, src = np.nonzero(p)  # node src heard dst's Hellos
+    dst, src = weights.pairs.T  # node src heard dst's Hellos
     dead = np.flatnonzero(np.bincount(src, minlength=weights.n) == 0)
     if dead.size:
         raise ValueError(f"node {int(dead[0])} has no incoming weight > 0; "
                          "cannot initialise its p-threshold")
-    return _run_minmax(weights.n, src, dst, -p[dst, src], "discrit", lambda t: -t,
+    return _run_minmax(weights.n, src, dst, -weights.p_hat, "discrit", lambda t: -t,
                        termination, timeout_rounds, suppress)
 
 

@@ -48,8 +48,8 @@ class SelfOrgParams:
 
     def __post_init__(self):
         for name in ("alpha0", "p_t", "sigma2", "eta", "w"):
-            if not (getattr(self, name) > 0):  # written so that NaN fails
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not (0 < getattr(self, name) < math.inf):  # written so that NaN fails
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         # q = 1 is allowed: every slot collides and the capacity is zero
         if not (0 < self.q <= 1):
             raise ValueError(f"q must be in (0, 1], got {self.q}")
@@ -57,8 +57,8 @@ class SelfOrgParams:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         if not (self.h_max >= 1):
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
-        if self.a is not None and not (self.a > 0):
-            raise ValueError(f"a must be > 0, got {self.a}")
+        if self.a is not None and not (0 < self.a < math.inf):
+            raise ValueError(f"a must be > 0 and finite, got {self.a}")
 
 
 # Attempt indicators drawn per chunk of MAC slots. The chunk size sets

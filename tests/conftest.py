@@ -68,6 +68,31 @@ def enumerate_hello_p(pos, params):
     return p
 
 
+def reference_p_hat(c, b):
+    """The dense (n, n) weights ``LinkWeightTable.from_counts`` once
+    stored: c[i, j] / b[i], and 0 where b[i] is 0."""
+    c, b = np.asarray(c, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        return np.where(b[:, None] > 0, c / np.maximum(b[:, None], 1), 0.0)
+
+
+def dense(table, field="p_hat"):
+    """A row field of a ``LinkWeightTable`` as an (n, n) array, 0 off the rows."""
+    rows = getattr(table, field)
+    out = np.zeros((table.n, table.n), dtype=rows.dtype)
+    out[tuple(table.pairs.T)] = rows
+    return out
+
+
+def weights_from_dense(p):
+    """A ``LinkWeightTable`` of the nonzero entries of a dense weight
+    matrix p, for synthetic weights: no counts, no broadcasts."""
+    p = np.asarray(p, dtype=np.float64)
+    i, j = np.nonzero(p)
+    return LinkWeightTable(len(p), np.column_stack([i, j]), np.zeros(i.size, np.int64),
+                           np.zeros(len(p), np.int64), p[i, j])
+
+
 def reference_hello(dep, params, seed):
     """The Hello slot loop that ``simulate_hello`` replaced: every
     (transmitter, listener) pair is gathered and tested each slot."""
@@ -457,7 +482,7 @@ def edge_format_cases():
     dep = edge_format_deployments()[0][1]
     weights = hello_seed0_weights()
     g, trace = run_discrit(weights)
-    cases.append(("hello-seed0-weights", dep, g, weights.p_hat.T >= trace.final_thresholds()[:, None]))
+    cases.append(("hello-seed0-weights", dep, g, dense(weights).T >= trace.final_thresholds()[:, None]))
     return cases
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import edge_set, enumerate_hello_p, reference_degree1_radius
-from discrit.channel import ChannelParams, LinkWeightTable, homogeneity_check, simulate_hello
+from conftest import dense, edge_set, enumerate_hello_p, reference_degree1_radius, weights_from_dense
+from discrit.channel import ChannelParams, homogeneity_check, simulate_hello
 from discrit.cli import run_pipeline
 from discrit.discretize import rho_trend
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, interior_nodes
@@ -94,7 +94,7 @@ def test_criterion_03_runtime_invariants():
         with np.errstate(under="ignore"):
             p = np.exp(-d)
         np.fill_diagonal(p, 0.0)
-        w = LinkWeightTable(np.zeros((80, 80), np.int64), np.zeros(80, np.int64), p)
+        w = weights_from_dense(p)
         try:
             run_discrit(w)
         except InvariantViolation:
@@ -165,7 +165,7 @@ def test_criterion_05_monotone_weight_equivalence():
         with np.errstate(under="ignore"):
             p = np.exp(-d)
         np.fill_diagonal(p, 0.0)
-        w = LinkWeightTable(np.zeros((300, 300), np.int64), np.zeros(300, np.int64), p)
+        w = weights_from_dense(p)
         g_w, _ = run_discrit(w)
         agree += edge_set(g_dist) == edge_set(g_w)
     assert report(5, "weight protocol equals range protocol on exp(-d)",
@@ -181,13 +181,14 @@ def test_criterion_06_hello_counts_match_enumeration():
     bad = 0
     for seed in range(10):
         table = simulate_hello(dep, params, seed)
+        p_hat = dense(table)
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
                 p = exact[i, j]
                 se = math.sqrt(p * (1 - p) / table.b[i])
-                if abs(table.p_hat[i, j] - p) > 3 * se + 1e-12:
+                if abs(p_hat[i, j] - p) > 3 * se + 1e-12:
                     bad += 1
     assert report(6, "hello ratios within 3 s.e. of exact enumeration",
                   bad == 0, f"{bad}/60 directed checks out of band")
@@ -199,9 +200,9 @@ def test_criterion_07_weight_distance_monotonicity():
     d = distance_matrix(dep)
     interior = np.zeros(dep.n, dtype=bool)
     interior[interior_nodes(dep, 100.0)] = True
-    ii, jj = np.nonzero(table.p_hat > 0)
+    ii, jj = table.pairs.T
     keep = interior[jj]
-    corr = spearmanr(d[ii[keep], jj[keep]], table.p_hat[ii[keep], jj[keep]]).statistic
+    corr = spearmanr(d[ii[keep], jj[keep]], table.p_hat[keep]).statistic
     assert report(7, "weights decrease with distance (Spearman <= -0.9)",
                   corr <= -0.9, f"spearman {corr:.4f} on {int(keep.sum())} pairs")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,8 @@ import pytest
 
 from discrit import channel
 from conftest import (
-    enumerate_hello_p, line_deployment, reference_hello, reference_power_histogram,
+    dense, enumerate_hello_p, hello_seed0_weights, line_deployment, reference_hello,
+    reference_p_hat, reference_power_histogram, weights_from_dense,
 )
 from discrit.channel import (
     ChannelParams, EmpiricalCDF, LinkWeightTable, homogeneity_check,
@@ -53,6 +55,7 @@ def test_hello_kernel_matches_reference(kind, n, side, params, seed):
     dep = generate_deployment(kind, n, Region(side, side), seed)
     table = simulate_hello(dep, params, seed)
     ref = reference_hello(dep, params, seed)
+    assert np.array_equal(table.pairs, ref.pairs)
     assert np.array_equal(table.c, ref.c)
     assert np.array_equal(table.b, ref.b)
 
@@ -64,7 +67,7 @@ def _small_case(case_id):
 
 def _matches_reference(dep, params, seed):
     table, ref = simulate_hello(dep, params, seed), reference_hello(dep, params, seed)
-    return np.array_equal(table.c, ref.c) and np.array_equal(table.b, ref.b)
+    return all(np.array_equal(getattr(table, f), getattr(ref, f)) for f in ("pairs", "c", "b"))
 
 
 @pytest.mark.parametrize("case_id", ["grid-ties", "beta1.0-deterministic",
@@ -161,9 +164,9 @@ def test_two_node_interference_free_half():
     # SNR >> beta, so success happens exactly when the peer listens.
     dep = line_deployment([1.0, 4.0], side=10.0)
     params = ChannelParams(p_t=1000.0, eta=2.0, sigma2=1.0, beta=1.0, alpha=0.5, slots=100000)
-    table = simulate_hello(dep, params, 42)
-    assert abs(table.p_hat[0, 1] - 0.5) <= 0.01
-    assert abs(table.p_hat[1, 0] - 0.5) <= 0.01
+    p_hat = dense(simulate_hello(dep, params, 42))
+    assert abs(p_hat[0, 1] - 0.5) <= 0.01
+    assert abs(p_hat[1, 0] - 0.5) <= 0.01
 
 
 def test_three_node_enumeration_oracle():
@@ -172,22 +175,24 @@ def test_three_node_enumeration_oracle():
     params = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=20000)
     exact = enumerate_hello_p(pos, params)
     table = simulate_hello(dep, params, 7)
+    p_hat = dense(table)
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
             p = exact[i, j]
             se = math.sqrt(p * (1 - p) / table.b[i])
-            assert abs(table.p_hat[i, j] - p) <= 3 * se + 1e-12
+            assert abs(p_hat[i, j] - p) <= 3 * se + 1e-12
 
 
 def test_counting_sanity_and_determinism():
     dep = generate_deployment("uniform-iid", 30, Region(300, 300), 5)
     a = simulate_hello(dep, PARAMS, 11)
     b = simulate_hello(dep, PARAMS, 11)
-    assert np.array_equal(a.c, b.c) and np.array_equal(a.b, b.b)
-    assert (a.c <= a.b[:, None]).all()
-    assert (np.diag(a.c) == 0).all()
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("pairs", "c", "b"))
+    c = dense(a, "c")
+    assert (c <= a.b[:, None]).all()
+    assert (np.diag(c) == 0).all()
     assert a.b.sum() > 0
 
 
@@ -199,16 +204,17 @@ def test_slln_error_shrinks_with_slots():
         params = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=slots)
         exact = enumerate_hello_p(pos, params)
         table = simulate_hello(dep, params, 0)
-        errs.append(float(np.abs(table.p_hat - exact).max()))
+        errs.append(float(np.abs(dense(table) - exact).max()))
     assert errs[0] >= errs[1] >= errs[2]
     params = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=100000)
     exact = enumerate_hello_p(pos, params)
     table = simulate_hello(dep, params, 0)
+    p_hat = dense(table)
     for i in range(3):
         for j in range(3):
             if i != j and 0 < exact[i, j] < 1:
                 se = math.sqrt(exact[i, j] * (1 - exact[i, j]) / table.b[i])
-                assert abs(table.p_hat[i, j] - exact[i, j]) <= 3 * se
+                assert abs(p_hat[i, j] - exact[i, j]) <= 3 * se
 
 
 def test_rayleigh_fading_runs_and_differs():
@@ -218,8 +224,8 @@ def test_rayleigh_fading_runs_and_differs():
                         fading="rayleigh-power", fading_mean=1.0, slots=500)
     a = simulate_hello(dep, det, 3)
     b = simulate_hello(dep, ray, 3)
-    assert not np.array_equal(a.c, b.c)
-    assert (b.c <= b.b[:, None]).all()
+    assert not np.array_equal(dense(a, "c"), dense(b, "c"))
+    assert (dense(b, "c") <= b.b[:, None]).all()
 
 
 def test_predict_p_deterministic_closed_form():
@@ -346,31 +352,97 @@ def test_homogeneity_errors(km_region):
         homogeneity_check(dep, 0.0, 0.3, grid_step=50.0)
 
 
+def _three_node_table(**change):
+    rows = dict(n=3, pairs=[[0, 1], [1, 2], [2, 0]], c=[1, 2, 3], b=[4, 4, 4],
+                p_hat=[0.25, 0.5, 0.75])
+    return LinkWeightTable(**dict(rows, **change))
+
+
 def test_link_weight_table_validation():
-    with pytest.raises(ValueError):
-        LinkWeightTable(np.array([[0, 2], [0, 0]]), np.array([1, 1]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        LinkWeightTable(np.array([[1, 0], [0, 0]]), np.array([2, 2]), np.zeros((2, 2)))
+    t = _three_node_table()
+    assert t.pairs.shape == (3, 2) and t.c.shape == t.p_hat.shape == (3,)
+    for a in (t.pairs, t.c, t.b, t.p_hat):
+        assert not a.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.c = np.zeros(3, np.int64)
+    for c in ([5, 2, 3], [-1, 2, 3]):
+        with pytest.raises(ValueError, match="0 <= c <= b"):
+            _three_node_table(c=c)
     t = LinkWeightTable.from_counts(np.array([[0, 1], [2, 0]]), np.array([2, 4]))
-    assert t.p_hat[0, 1] == 0.5 and t.p_hat[1, 0] == 0.5
+    assert t.pairs.tolist() == [[0, 1], [1, 0]] and t.p_hat.tolist() == [0.5, 0.5]
+    empty = LinkWeightTable.from_counts(np.zeros((3, 3), np.int64), [2, 0, 5])
+    assert empty.pairs.shape == (0, 2) and empty.c.size == empty.p_hat.size == 0
 
 
 def test_link_weight_table_rejects_nan_weights():
     # NaN compares False both ways, so it must not slip past the range check
-    # and reach the engine, which used to blame itself for it.
-    p = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, np.nan], [0.5, 0.5, 0.0]])
-    for bad in (np.nan, np.inf, -np.inf):
-        p[1, 2] = bad
-        with pytest.raises(ValueError, match=r"p_hat must lie in \[0, 1\]"):
-            LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), p)
+    # and reach the engine, which used to blame itself for it. A row is a
+    # heard pair, so its weight is above 0.
+    for bad in (np.nan, np.inf, -np.inf, 0.0, 1.5):
+        with pytest.raises(ValueError, match=r"p_hat must lie in \(0, 1\]"):
+            _three_node_table(p_hat=[0.25, bad, 0.75])
 
 
 def test_link_weight_table_rejects_self_weights():
-    # The weight engine reads the nonzero entries of p_hat as the heard
-    # pairs, so a self weight would reach it as a self pair.
-    p = np.array([[0.3, 0.5], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="self counts and weights must be zero"):
-        LinkWeightTable(np.zeros((2, 2), np.int64), np.zeros(2, np.int64), p)
+    # The weight engine reads the rows as the heard pairs, so a self row
+    # would reach it as a self pair.
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        _three_node_table(pairs=[[0, 1], [1, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("change, match", [
+    pytest.param({"pairs": [[1, 2], [0, 1], [2, 0]]}, "row-major order", id="unsorted"),
+    pytest.param({"pairs": [[0, 1], [0, 1], [2, 0]]}, "must be distinct", id="duplicate"),
+    pytest.param({"pairs": [[0, 1], [1, 3], [2, 0]]}, r"nodes of 0\.\.2", id="id-too-large"),
+    pytest.param({"pairs": [[-1, 1], [1, 2], [2, 0]]}, r"nodes of 0\.\.2", id="id-negative"),
+    pytest.param({"c": [1, 2]}, "inconsistent table shapes", id="short-c"),
+    pytest.param({"b": [4, 4]}, "inconsistent table shapes", id="short-b"),
+    pytest.param({"pairs": [[0, 1, 2]]}, "inconsistent table shapes", id="pairs-3-wide"),
+])
+def test_link_weight_table_rejects_bad_rows(change, match):
+    with pytest.raises(ValueError, match=match):
+        _three_node_table(**change)
+
+
+def _count_table(seed, n=40):
+    """Dense Hello-like counts: sparse, no self counts, c[i, j] <= b[i],
+    and a few silent nodes (b = 0)."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(0, 60, n)
+    b[:3] = 0
+    c = rng.integers(0, b[:, None] + 1, (n, n)) * (rng.random((n, n)) < 0.2)
+    np.fill_diagonal(c, 0)
+    return c, b
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_from_counts_matches_dense_formula(seed):
+    # The rows against the dense table they replaced: the nonzero counts
+    # in np.nonzero order, and the bits of the dense division.
+    c, b = _count_table(seed)
+    table, ref = LinkWeightTable.from_counts(c, b), reference_p_hat(c, b)
+    assert np.array_equal(table.pairs, np.argwhere(c))
+    assert np.array_equal(table.c, c[c > 0]) and np.array_equal(table.b, b)
+    assert table.p_hat.tobytes() == ref[c > 0].tobytes()
+    assert dense(table).tobytes() == ref.tobytes()
+
+
+def test_hello_table_matches_dense_formula():
+    table = hello_seed0_weights()
+    assert dense(table).tobytes() == reference_p_hat(dense(table, "c"), table.b).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_matches_dense_restriction(seed):
+    c, b = _count_table(seed)
+    ids = np.sort(np.random.default_rng(seed).choice(len(b), 25, replace=False))
+    ix = np.ix_(ids, ids)
+    sub = LinkWeightTable.from_counts(c, b).subset(ids[::-1])
+    assert np.array_equal(dense(sub, "c"), c[ix]) and np.array_equal(sub.b, b[ids])
+    assert dense(sub).tobytes() == reference_p_hat(c[ix], b[ids]).tobytes()
+    # A table of weights alone keeps them; recomputing p_hat from c zeroed them.
+    ref = reference_p_hat(c, b)
+    assert dense(weights_from_dense(ref).subset(ids)).tobytes() == ref[ix].tobytes()
 
 
 def test_link_weight_subset_and_io(tmp_path):
@@ -378,19 +450,17 @@ def test_link_weight_subset_and_io(tmp_path):
     table = simulate_hello(dep, ChannelParams(0.05, 4.0, 1e-10, 4.0, 0.3, slots=300), 6)
     sub = table.subset([3, 1, 7])
     ids = [1, 3, 7]
-    assert np.array_equal(sub.c, table.c[np.ix_(ids, ids)])
+    assert np.array_equal(dense(sub, "c"), dense(table, "c")[np.ix_(ids, ids)])
     assert np.array_equal(sub.b, table.b[ids])
     save_link_weights(table, tmp_path / "w")
     meta = json.loads((tmp_path / "w.weights.json").read_text())
     assert meta == {"n": 12, "b": table.b.tolist()}
-    c, p_hat = np.zeros((12, 12), np.int64), np.zeros((12, 12))
     with open(tmp_path / "w.weights.csv", newline="") as fh:
-        for r in csv.DictReader(fh):
-            i, j = int(r["i"]), int(r["j"])
-            c[i, j], p_hat[i, j] = int(r["C"]), float(r["p_hat"])
-            assert int(r["B"]) == table.b[i]
-    assert np.array_equal(c, table.c)
-    assert np.array_equal(p_hat, table.p_hat)
+        rows = list(csv.DictReader(fh))
+    assert [[int(r["i"]), int(r["j"])] for r in rows] == table.pairs.tolist()
+    assert [int(r["C"]) for r in rows] == table.c.tolist()
+    assert [int(r["B"]) for r in rows] == table.b[table.pairs[:, 0]].tolist()
+    assert [float(r["p_hat"]) for r in rows] == table.p_hat.tolist()
 
 
 def test_link_weight_subset_rejects_out_of_range_ids():

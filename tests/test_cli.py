@@ -126,9 +126,13 @@ def test_selforg_q_bound_matches_params(tmp_path):
     {"interior_margin": math.nan},
     {"protocol": {"mode": "distance", "termination": "distributed", "suppress": False}},
     {"seeds": [0, 0]},
+    {"channel": {"p_t": math.inf}},
+    {"channel": {"eta": math.inf}},
+    {"selforg": {"w": math.inf}},
+    {"selforg": {"p_t": math.inf}},
 ], ids=["seed-float", "n-float", "slots-float", "h_max-float", "alpha-zero", "width-inf",
         "a-negative", "slots-bool", "grid-n5", "p_t-nan", "eta-nan", "a-nan", "margin-nan",
-        "distributed-unsuppressed", "seeds-dup"])
+        "distributed-unsuppressed", "seeds-dup", "p_t-inf", "eta-inf", "w-inf", "selforg-p_t-inf"])
 def test_config_rejected_before_any_stage(tmp_path, extra):
     # All but slots-bool once passed validation and then failed in a stage,
     # ran on a nonsense value, or (seeds-dup) ran a seed twice, after a seed

@@ -205,7 +205,7 @@ def test_hop_matrix_is_computed_once_and_read_only():
 def test_hop_distances_examples():
     g = path_graph(4)
     rows = hop_distances(g, [0, 2])
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.min_scalar_type(-g.n) == np.int8
     assert rows.tolist() == [[0, 1, 2, 3], [2, 1, 0, 1]]
     with pytest.raises(ValueError):
         rows[0, 1] = 7
@@ -237,7 +237,7 @@ def test_bfs_hops_match_shortest_path():
     }
     for label, g in cases.items():
         hops = hop_matrix(g)
-        assert hops.dtype == np.int64 and not hops.flags.writeable, label
+        assert hops.dtype == np.min_scalar_type(-g.n) and not hops.flags.writeable, label
         assert np.array_equal(hops, reference_hops(g)), label
     assert (hop_matrix(cases["degree1-disconnected"]) == -1).any()
     g = cases["critical-n513"]

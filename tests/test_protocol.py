@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import (
-    edge_format_cases, edge_format_deployments, edge_set, hello_seed0_weights,
-    line_deployment, reference_bidirectionalize, reference_minmax,
+    dense, edge_format_cases, edge_format_deployments, edge_set, hello_seed0_weights,
+    line_deployment, reference_bidirectionalize, reference_minmax, weights_from_dense,
 )
-from discrit.channel import LinkWeightTable
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import degree1_radius, graph_diameter, is_connected
 from discrit.protocol import run_discrit, run_range_algorithm, trace_to_csv
@@ -16,8 +15,7 @@ def synthetic_weights(dep, scale=1.0):
     with np.errstate(under="ignore"):
         p = np.exp(-d / scale)
     np.fill_diagonal(p, 0.0)
-    n = dep.n
-    return LinkWeightTable(np.zeros((n, n), np.int64), np.zeros(n, np.int64), p)
+    return weights_from_dense(p)
 
 
 def test_two_nodes_converges_immediately():
@@ -147,8 +145,7 @@ def test_distributed_requires_suppression():
 
 
 def test_discrit_two_nodes_bidirectional():
-    p = np.array([[0.0, 0.4], [0.6, 0.0]])
-    w = LinkWeightTable(np.zeros((2, 2), np.int64), np.zeros(2, np.int64), p)
+    w = weights_from_dense([[0.0, 0.4], [0.6, 0.0]])
     g, trace = run_discrit(w)
     assert edge_set(g) == {(0, 1)}
     # weight-mode thresholds never increase
@@ -167,8 +164,7 @@ def test_discrit_matches_range_algorithm_on_monotone_weights():
 
 
 def test_discrit_isolated_node_error():
-    p = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.1, 0.1, 0.0]])
-    w = LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), p)
+    w = weights_from_dense([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.1, 0.1, 0.0]])
     with pytest.raises(ValueError, match="node 2"):
         run_discrit(w)
 
@@ -229,9 +225,9 @@ def test_engine_matches_dense_reference(termination, timeout_rounds, suppress):
     tables = [("hello-seed0-weights", hello_seed0_weights()),
               ("criterion5-exp-d", synthetic_weights(
                   generate_deployment("uniform-iid", 300, Region(1000, 1000), 0))),
-              ("one-way", LinkWeightTable(np.zeros((3, 3), np.int64), np.zeros(3, np.int64), one_way))]
+              ("one-way", weights_from_dense(one_way))]
     for label, weights in tables:
-        want = reference_minmax(-weights.p_hat.T, "discrit", lambda t: -t, **options)
+        want = reference_minmax(-dense(weights).T, "discrit", lambda t: -t, **options)
         assert_same_run(run_discrit(weights, **options), want, label)
 
 
