@@ -19,12 +19,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--side", type=float, default=1000.0, help="region side (m)")
     ap.add_argument("--outdir", default="localization")
     args = ap.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    region = Region(1000.0, 1000.0)
+    region = Region(args.side, args.side)
     dep = generate_deployment("uniform-iid", args.n, region, args.seed)
     margin = 0.1 * min(region.width, region.height)
 

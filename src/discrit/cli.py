@@ -150,8 +150,8 @@ class _SeedRun:
         hist_path = self.dir / "rho_hist.csv"
         save_rho_histogram_csv(st, hist_path)
         summary_path = self.dir / "rho.csv"
-        save_csv(summary_path, ["n", "pairs", "mean_rho", "var_rho", "cv_rho"],
-                 [self.dep.n], [st.pairs_used], [st.mean], [st.variance], [st.cv])
+        save_csv(summary_path, ["n", "pairs", "pairs_excluded", "mean_rho", "var_rho", "cv_rho"],
+                 [self.dep.n], [st.pairs_used], [st.pairs_excluded], [st.mean], [st.variance], [st.cv])
         self.artifacts += [hist_path, summary_path]
 
     def selforg(self):

@@ -55,7 +55,8 @@ class ProtocolTrace:
     for weight mode); the final two snapshots are identical. ``degrees``
     counts adjacent nodes excluding self. ``iterations`` counts rounds
     in which at least one threshold changed; ``rounds`` counts every
-    executed round including quiet ones.
+    executed round including quiet ones. ``trace_to_csv`` writes the
+    snapshots as change events.
     """
 
     mode: str
@@ -185,9 +186,13 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:
-    """Write per-round state as ``iteration,node,threshold,degree`` rows;
-    ``iteration`` is the snapshot index, 0 being the initial state."""
-    thr = np.asarray(trace.thresholds)
-    k, n = thr.shape
-    save_csv(path, ["iteration", "node", "threshold", "degree"], np.repeat(np.arange(k), n),
-             np.tile(np.arange(n), k), thr.ravel(), np.ravel(trace.degrees))
+    """Write ``iteration,node,threshold,degree`` rows in (iteration, node)
+    order, ``iteration`` being the snapshot index (0 = initial state).
+    Snapshot 0 and the last are written in full, any other only for the
+    nodes whose threshold or degree differs from the snapshot before, so
+    forward-filling each node's rows gives back every snapshot exactly."""
+    thr, deg = np.asarray(trace.thresholds), np.asarray(trace.degrees)
+    keep = np.ones(thr.shape, dtype=bool)
+    keep[1:-1] = (thr[1:-1] != thr[:-2]) | (deg[1:-1] != deg[:-2])
+    it, node = np.nonzero(keep)
+    save_csv(path, ["iteration", "node", "threshold", "degree"], it, node, thr[it, node], deg[it, node])

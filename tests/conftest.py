@@ -329,6 +329,31 @@ def reference_minmax(score, mode, natural, termination, timeout_rounds, suppress
     return EdgeGraph(n, np.argwhere(np.triu(member | member.T, 1))), trace
 
 
+TraceRow = namedtuple("TraceRow", "iteration node threshold degree")
+
+
+def read_trace_csv(path):
+    """Decode a ``trace.csv`` written by ``protocol.trace_to_csv``.
+
+    Returns ``(thresholds, degrees, rows)``: two (k, n) arrays with every
+    snapshot, and the file's rows as ``TraceRow`` tuples. The snapshot
+    count k is the last row's iteration + 1 and n is the number of
+    iteration-0 rows. Each row sets its node's value from its iteration
+    on, so a later row of that node overrides it (forward fill)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["iteration", "node", "threshold", "degree"]
+        rows = [TraceRow(int(i), int(v), float(t), int(d)) for i, v, t, d in reader]
+    k = rows[-1].iteration + 1
+    n = sum(r.iteration == 0 for r in rows)
+    thresholds = np.full((k, n), np.nan)
+    degrees = np.full((k, n), -1, dtype=np.int64)
+    for r in rows:
+        thresholds[r.iteration:, r.node] = r.threshold
+        degrees[r.iteration:, r.node] = r.degree
+    return thresholds, degrees, rows
+
+
 def reference_induced_subgraph(g, ids):
     """``induced_subgraph`` as it was, with a dict remap."""
     ids = sorted(int(i) for i in ids)

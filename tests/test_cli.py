@@ -76,6 +76,16 @@ def test_full_pipeline_writes_disparity_table(tmp_path):
     assert (out / "seed-1" / "hello.weights.csv").exists()
 
 
+def test_rho_summary_counts_every_pair(tmp_path):
+    doc = minimal_config(tmp_path, discretize={})
+    doc["deployment"]["n"] = 49
+    assert run_pipeline(doc) == 0
+    header, row = (tmp_path / "out" / "seed-0" / "rho.csv").read_text().splitlines()
+    assert header == "n,pairs,pairs_excluded,mean_rho,var_rho,cv_rho"
+    n, used, excluded = (int(x) for x in row.split(",")[:3])
+    assert (n, used + excluded) == (49, 49 * 48 // 2)
+
+
 def test_grid_interior_eval_runs(tmp_path):
     # The interior scope holds 288 of the 400 grid nodes; its subset keeps
     # kind "grid", which used to demand a perfect-square count.

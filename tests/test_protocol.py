@@ -3,11 +3,12 @@ import pytest
 
 from conftest import (
     dense, edge_format_cases, edge_format_deployments, edge_set, hello_seed0_weights,
-    line_deployment, reference_bidirectionalize, reference_minmax, weights_from_dense,
+    line_deployment, read_trace_csv, reference_bidirectionalize, reference_minmax,
+    weights_from_dense,
 )
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import degree1_radius, graph_diameter, is_connected
-from discrit.protocol import run_discrit, run_range_algorithm, trace_to_csv
+from discrit.protocol import ProtocolTrace, run_discrit, run_range_algorithm, trace_to_csv
 
 
 def synthetic_weights(dep, scale=1.0):
@@ -231,11 +232,52 @@ def test_engine_matches_dense_reference(termination, timeout_rounds, suppress):
         assert_same_run(run_discrit(weights, **options), want, label)
 
 
-def test_trace_csv(tmp_path):
-    dep = line_deployment([0.0, 1.0, 3.0], side=10.0)
-    _, trace = run_range_algorithm(dep)
-    path = tmp_path / "trace.csv"
+def assert_trace_csv_round_trips(trace, path):
+    """Forward-filling the change events (conftest.read_trace_csv) gives
+    back every snapshot bit for bit, from rows that are all needed."""
     trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,node,threshold,degree"
-    assert len(lines) == 1 + 3 * len(trace.thresholds)
+    thresholds, degrees, rows = read_trace_csv(path)
+    want_thr, want_deg = np.stack(trace.thresholds), np.stack(trace.degrees)
+    assert thresholds.shape == want_thr.shape and thresholds.tobytes() == want_thr.tobytes()
+    assert degrees.shape == want_deg.shape and np.array_equal(degrees, want_deg)
+
+    keys = [(r.iteration, r.node) for r in rows]
+    assert keys == sorted(set(keys))
+    k, n = want_thr.shape
+    for snapshot in (0, k - 1):
+        assert [r.node for r in rows if r.iteration == snapshot] == list(range(n))
+    middle = [r for r in rows if 0 < r.iteration < k - 1]
+    for r in middle:
+        before = (want_thr[r.iteration - 1, r.node], want_deg[r.iteration - 1, r.node])
+        assert (r.threshold, r.degree) != before, r
+    return middle
+
+
+@pytest.mark.parametrize("weight_mode, options", [
+    pytest.param(False, {}, id="distance-uniform"),
+    pytest.param(True, {}, id="weight-hello-seed0"),
+    pytest.param(False, dict(termination="distributed", timeout_rounds=2), id="distributed-timeout2"),
+])
+def test_trace_csv_round_trips(tmp_path, weight_mode, options):
+    if weight_mode:
+        _, trace = run_discrit(hello_seed0_weights(), **options)
+    else:
+        dep = generate_deployment("uniform-iid", 300, Region(1000, 1000), 0)
+        _, trace = run_range_algorithm(dep, **options)
+    middle = assert_trace_csv_round_trips(trace, tmp_path / "trace.csv")
+    k, n = len(trace.thresholds), trace.thresholds[0].size
+    assert len(middle) + 2 * n < k * n
+    if options:
+        # the last two rounds are quiet: nothing changes, nothing is written
+        assert trace.rounds >= trace.iterations + 2
+        assert not [r for r in middle if r.iteration >= k - 2]
+
+
+def test_trace_csv_writes_a_lone_degree_change(tmp_path):
+    # The engine's degrees follow each node's own threshold, but the
+    # format does not rely on it: a degree change alone is a row too.
+    trace = ProtocolTrace(mode="distance", termination="centralized",
+                          thresholds=[np.array([1.0, 2.0, 0.0])] * 4,
+                          degrees=[np.array(d) for d in ([1, 1, 0], [1, 2, 0], [1, 2, 0], [1, 2, 0])])
+    middle = assert_trace_csv_round_trips(trace, tmp_path / "trace.csv")
+    assert middle == [(1, 1, 2.0, 2)]
