@@ -12,7 +12,11 @@ workload runs program seed FIRST_SEED + k on both sides; even pairs run
 the parent first, odd pairs the change first. Then one traced pair per
 workload runs (--trace 1, seed TRACE_SEED), the parent first for the
 first, third, ... workload of the plan and the change first for the
-others. The output holds every run's last-line result and host
+others. Last, each side runs TRACE_SEED alone once per workload
+(--seconds 0, so one seed in a fresh worker process), in the traced
+pairs' order; its peak_rss_mb is that process's ru_maxrss, the
+single-seed memory figure that heap growth across seeds does not move.
+The output holds every run's last-line result and host
 line, and per workload each end-to-end metric's median and quartiles
 per side, every run's value, and how many pairs the change won (ties
 count for neither). It is rewritten after every run, so a stopped
@@ -152,7 +156,7 @@ def main(argv=None) -> int:
     trees = {side: args.workdir / side for side in SIDES}
     commits = {side: checkout(rev, trees[side])
                for side, rev in zip(SIDES, (args.parent, args.change))}
-    runs, record = [], {}
+    runs, record, single = [], {}, {}
 
     def write():
         counts = ", ".join(f"{w} {k} pairs (seeds {FIRST_SEED}-{FIRST_SEED + k - 1})"
@@ -170,10 +174,13 @@ def main(argv=None) -> int:
                      f"neither). The traced pair per workload (--trace 1, seed {TRACE_SEED}; "
                      f"the parent first for the 1st, 3rd, ... workload listed, the change first "
                      f"for the others) is in `traced`, with every per-layer metric per side. "
+                     f"`single_seed` holds, per workload and side, one fresh-process run of "
+                     f"seed {TRACE_SEED} alone (--seconds 0) and its ru_maxrss in MB. "
                      f"`tier1` holds each side's tier-1 test counts."),
             "change": args.note, "parent_commit": commits["parent"],
             "change_commit": commits["change"],
-            "summary": summarize(runs, directions), "traced": traced(runs), "runs": runs})
+            "summary": summarize(runs, directions), "traced": traced(runs),
+            "single_seed": single, "runs": runs})
         if args.claim:
             workload, metric = args.claim.split(":")
             record["claimed_gain"] = {
@@ -196,7 +203,16 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} trace {trace} {side}: rc {run['returncode']}, "
                   f"seed_s {metric_value(run, 'seed_s')}", flush=True)
             write()
-    write()
+    for pos, (workload, _) in enumerate(plan):
+        for side in SIDES[::-1] if pos % 2 else SIDES:
+            run = bench_run(trees[side], workload, TRACE_SEED, 0, 0)
+            single.setdefault(workload, {})[side] = {
+                "ru_maxrss_mb": metric_value(run, "peak_rss_mb"),
+                "seed_s": metric_value(run, "seed_s"), "returncode": run["returncode"],
+                "host_line": run["host_line"], "stderr_tail": run["stderr_tail"]}
+            print(f"{workload} seed {TRACE_SEED} alone {side}: ru_maxrss "
+                  f"{single[workload][side]['ru_maxrss_mb']} MB", flush=True)
+            write()
     return 0
 
 

@@ -130,7 +130,8 @@ class LinkWeightTable:
 def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
     d = distance_matrix(dep)
     np.fill_diagonal(d, np.inf)  # no self-reception, avoids 0**-eta
-    return params.p_t * d ** -params.eta
+    d **= -params.eta  # in place: the same bits as p_t * d ** -eta, without a second matrix
+    return np.multiply(d, params.p_t, out=d)
 
 
 def _slots(gain: np.ndarray, rng, params: ChannelParams):

@@ -21,8 +21,7 @@ from .graphs import EdgeGraph, critical_radius, hop_matrix
 # seeded sample of this many pairs instead.
 PAIR_SAMPLE_THRESHOLD = 2000
 DEFAULT_PAIR_SAMPLE = 200_000
-# Rows of the upper triangle read per block when rho_stats takes all pairs.
-RHO_BLOCK_ROWS = 64
+RHO_BLOCK_ROWS = 64  # rows of the upper triangle read per block when rho_stats takes all pairs
 
 
 @dataclass
@@ -42,8 +41,7 @@ class RhoStats:
 
 def _pair_sample(n, count, seed):
     rng = np.random.default_rng(seed)
-    ii = np.empty(0, dtype=np.int64)
-    jj = np.empty(0, dtype=np.int64)
+    ii = jj = np.empty(0, dtype=np.int64)
     while ii.size < count:
         a = rng.integers(0, n, size=count)
         b = rng.integers(0, n, size=count)
@@ -51,13 +49,6 @@ def _pair_sample(n, count, seed):
         ii = np.concatenate([ii, a[keep]])
         jj = np.concatenate([jj, b[keep]])
     return ii[:count], jj[:count]
-
-
-def _rho(dep, hops, i, j):
-    """rho of the pairs (i, j) joined by a path, and the number of pairs not joined."""
-    h = hops[i, j]
-    ok = h > 0
-    return pair_distances(dep, i[ok], j[ok]) / h[ok], int(np.count_nonzero(h < 0))
 
 
 def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -> RhoStats:
@@ -72,20 +63,25 @@ def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes, deployment has {n}")
     hops = hop_matrix(g)
+    samples, excluded = [], 0  # rho of the pairs joined by a path; count of pairs not joined
     if pair_sample == "all":
         cols = np.arange(n)
-        parts = []  # row blocks of the upper triangle, in triu order
-        for lo in range(0, n, RHO_BLOCK_ROWS):
-            i, j = np.nonzero(cols > cols[lo:lo + RHO_BLOCK_ROWS, None])
-            parts.append(_rho(dep, hops, i + lo, j))
+        for lo in range(0, n, RHO_BLOCK_ROWS):  # row blocks of the upper triangle, in triu order
+            rows = cols[lo:lo + RHO_BLOCK_ROWS, None]
+            h, upper = hops[lo:lo + RHO_BLOCK_ROWS], cols > rows
+            ok = upper & (h > 0)
+            samples.append(pair_distances(dep, rows, cols)[ok] / h[ok])
+            excluded += int(np.count_nonzero(upper & (h < 0)))
     else:
         count = int(pair_sample)
         if count < 1:
             raise ValueError(f"pair_sample must be >= 1, got {pair_sample}")
-        parts = [_rho(dep, hops, *_pair_sample(n, count, seed))]
-    samples = np.concatenate([rho for rho, _ in parts])
-    excluded = sum(e for _, e in parts)
-    del parts  # the blocks would otherwise stay alive next to var()'s temporary
+        i, j = _pair_sample(n, count, seed)
+        h = hops[i, j]
+        ok = h > 0
+        samples.append(pair_distances(dep, i[ok], j[ok]) / h[ok])
+        excluded = int(np.count_nonzero(h < 0))
+    samples = np.concatenate(samples)  # drops the blocks
     if samples.size == 0:
         raise ValueError("no connected pairs; rho is undefined")
 

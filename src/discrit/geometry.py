@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 DEPLOYMENT_KINDS = ("uniform-iid", "randomised-lattice", "grid")
+DISTANCE_BLOCK_ROWS = 32  # rows of distance_matrix filled per pair_distances call
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,7 @@ class Deployment:
             raise ValueError(f"unknown deployment kind {self.kind!r}")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
-        w, h = self.region.width, self.region.height
-        x, y = pos[:, 0], pos[:, 1]
-        if np.any(x < 0) or np.any(x > w) or np.any(y < 0) or np.any(y > h):
+        if np.any(pos < 0) or np.any(pos > (self.region.width, self.region.height)):
             raise ValueError("positions must lie inside the region (inclusive)")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -142,10 +141,13 @@ def distance_matrix(dep: Deployment) -> np.ndarray:
     Each entry is sqrt(dx*dx + dy*dy), evaluated elementwise, so a pair
     gets the same bits in every matrix that holds it and from any scalar
     evaluation of that formula (ties matter when a radius equals a
-    pairwise distance exactly).
+    pairwise distance exactly). ``pair_distances`` fills it in blocks of
+    rows, so no n x n temporary is built next to it.
     """
-    ids = np.arange(dep.n)
-    return pair_distances(dep, ids[:, None], ids[None, :])
+    ids, d = np.arange(dep.n), np.empty((dep.n, dep.n))
+    for lo in range(0, dep.n, DISTANCE_BLOCK_ROWS):
+        d[lo:lo + DISTANCE_BLOCK_ROWS] = pair_distances(dep, ids[lo:lo + DISTANCE_BLOCK_ROWS, None], ids)
+    return d
 
 
 def pair_distances(dep: Deployment, i, j) -> np.ndarray:
@@ -153,7 +155,7 @@ def pair_distances(dep: Deployment, i, j) -> np.ndarray:
     to ``distance_matrix(dep)[i, j]`` without building the matrix."""
     x, y = dep.positions.T
     dx, dy = x[i] - x[j], y[i] - y[j]
-    dx *= dx  # squared and summed in place: no n x n temporaries beyond dx and dy
+    dx *= dx  # squared and summed in place: no temporaries beyond dx and dy
     dy *= dy
     return np.sqrt(np.add(dx, dy, out=dx), out=dx)
 
@@ -163,9 +165,8 @@ def interior_nodes(dep: Deployment, margin: float) -> np.ndarray:
     w, h = dep.region.width, dep.region.height
     if not (0 <= margin < min(w, h) / 2):
         raise ValueError(f"margin must satisfy 0 <= margin < {min(w, h) / 2}, got {margin}")
-    x, y = dep.positions[:, 0], dep.positions[:, 1]
-    mask = (x >= margin) & (x <= w - margin) & (y >= margin) & (y <= h - margin)
-    return np.flatnonzero(mask)
+    pos = dep.positions
+    return np.flatnonzero(((pos >= margin) & (pos <= (w - margin, h - margin))).all(axis=1))
 
 
 def save_csv(path, header, *columns) -> None:

@@ -39,9 +39,10 @@ class EdgeGraph:
     """Undirected graph over node ids 0..n-1.
 
     ``radius`` is set iff the graph was constructed as a geometric graph.
-    ``edges`` is a read-only (E, 2) int array of distinct (i, j) pairs
-    with i < j, in ascending row-major order; the constructor accepts
-    any (E, 2) array or iterable of pairs and normalises it.
+    ``edges`` is a read-only (E, 2) intp array of distinct (i, j) pairs
+    with i < j, in ascending row-major order; the constructor accepts any
+    (E, 2) array or iterable of pairs, orders each pair, sorts the keys
+    i*n+j and drops repeats.
     """
 
     n: int
@@ -55,14 +56,15 @@ class EdgeGraph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be (E, 2) pairs, got shape {e.shape}")
-        lo, hi = e.min(axis=1), e.max(axis=1)
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         loops = np.flatnonzero(lo == hi)
         if loops.size:
             raise ValueError(f"self-loop on node {lo[loops[0]]}")
         bad = np.flatnonzero((lo < 0) | (hi >= self.n))
         if bad.size:
             raise ValueError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range for n={self.n}")
-        e = np.column_stack(np.divmod(np.unique(lo * self.n + hi), self.n))
+        keys = np.sort(lo * self.n + hi)  # not np.unique: it hashes (numpy >= 2.3), far slower
+        e = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n))
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
 

@@ -34,6 +34,27 @@ def edge_set(g):
     return set(map(tuple, g.edges.tolist()))
 
 
+def reference_edges(n, pairs):
+    """``EdgeGraph``'s normalised edges as the constructor built them with
+    ``np.unique`` on the keys i*n+j (input already validated)."""
+    e = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    return np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+
+
+def reference_distance_matrix(dep):
+    """``distance_matrix`` as one broadcast ``pair_distances`` call."""
+    ids = np.arange(dep.n)
+    return pair_distances(dep, ids[:, None], ids[None, :])
+
+
+def reference_gain_matrix(dep, params):
+    """``channel._gain_matrix`` as it was written out of place."""
+    d = reference_distance_matrix(dep)
+    np.fill_diagonal(d, np.inf)
+    return params.p_t * d ** -params.eta
+
+
 def line_deployment(xs, side=1000.0, y=None):
     """Collinear nodes at the given x offsets inside a square region."""
     y = side / 2 if y is None else y

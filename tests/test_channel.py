@@ -9,8 +9,8 @@ import pytest
 
 from discrit import channel
 from conftest import (
-    dense, enumerate_hello_p, hello_seed0_weights, line_deployment, reference_hello,
-    reference_p_hat, reference_power_histogram, weights_from_dense,
+    dense, enumerate_hello_p, hello_seed0_weights, line_deployment, reference_gain_matrix,
+    reference_hello, reference_p_hat, reference_power_histogram, weights_from_dense,
 )
 from discrit.channel import (
     ChannelParams, EmpiricalCDF, LinkWeightTable, homogeneity_check,
@@ -115,6 +115,22 @@ def test_hello_coincident_nodes_match_reference(monkeypatch):
     with np.errstate(divide="ignore"):
         assert _matches_reference(Deployment(pos, "uniform-iid", dep.region, 3), SMALL, 3)
     assert not calls
+
+
+# The in-place power and product against p_t * d ** -eta, on a grid
+# (exact distance ties) and a uniform deployment with a coincident pair.
+@pytest.mark.parametrize("eta", [2.0, 2.5, 3.3, 4.0])
+@pytest.mark.parametrize("kind, n", [("grid", 400), ("uniform-iid", 300)])
+def test_gain_matrix_matches_out_of_place(kind, n, eta):
+    dep = generate_deployment(kind, n, Region(1000, 1000), 2)
+    pos = dep.positions.copy()
+    pos[1] = pos[0]
+    if kind == "uniform-iid":
+        dep = Deployment(pos, kind, dep.region, 2)
+    params = replace(PARAMS, eta=eta)
+    with np.errstate(divide="ignore"):
+        got, want = channel._gain_matrix(dep, params), reference_gain_matrix(dep, params)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # One acceptance seed only: the reference loop takes about 10 s a seed at n=1000.

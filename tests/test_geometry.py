@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairwise_distance, reference_save_csv
+from conftest import pairwise_distance, reference_distance_matrix, reference_save_csv
 from discrit.geometry import (
-    Deployment, Region, deployment_to_json, distance_matrix, generate_deployment,
+    DISTANCE_BLOCK_ROWS, Deployment, Region, deployment_to_json, distance_matrix, generate_deployment,
     interior_nodes, pair_distances, save_csv, save_positions_csv,
 )
 
@@ -95,6 +96,30 @@ def test_pair_distances_equal_matrix_entries(km_region, kind, n):
     assert np.array_equal(pair_distances(dep, i, j), d[i, j])
     if kind == "grid":  # exact ties: many pairs share a distance
         assert np.unique(d).size < d.size // 100
+
+
+# Row blocks against one broadcast: sizes that are not multiples of the
+# block, and a grid, whose exact ties a rounding change would break.
+@pytest.mark.parametrize("kind,n", [("uniform-iid", 2), ("uniform-iid", 127), ("uniform-iid", 129),
+                                    ("uniform-iid", 300), ("uniform-iid", DISTANCE_BLOCK_ROWS + 1),
+                                    ("grid", 400)])
+def test_distance_matrix_blocks_match_one_broadcast(km_region, kind, n):
+    dep = generate_deployment(kind, n, km_region, seed=5)
+    d = distance_matrix(dep)
+    assert d.shape == (n, n) and d.dtype == np.float64
+    assert np.array_equal(d.view(np.int64), reference_distance_matrix(dep).view(np.int64))
+
+
+def test_distance_matrix_builds_no_second_matrix(km_region):
+    n = 1500
+    dep = generate_deployment("uniform-iid", n, km_region, seed=0)
+    tracemalloc.start()
+    try:
+        distance_matrix(dep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
 
 
 @settings(max_examples=30, deadline=None)

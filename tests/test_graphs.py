@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_build_gg,
-    reference_critical_radius, reference_degree1_radius, reference_disparity, reference_hops,
-    reference_induced_subgraph, reference_save_graph, set_graph,
+    reference_critical_radius, reference_degree1_radius, reference_disparity, reference_edges,
+    reference_hops, reference_induced_subgraph, reference_save_graph, set_graph,
 )
 from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
@@ -297,6 +297,33 @@ def test_edge_graph_validation():
         EdgeGraph(3, [(0, -1)])
     with pytest.raises(ValueError):
         EdgeGraph(3, np.zeros((2, 3), dtype=int))
+
+
+def _random_pairs(n, e, seed):
+    """e random pairs i != j over 0..n-1 in both orientations, each row
+    given again swapped at a random place, so every pair repeats."""
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, e)
+    j = rng.integers(0, n - 1, e)
+    j += j >= i
+    pairs = np.column_stack([i, j])
+    return rng.permutation(np.concatenate([pairs, pairs[:, ::-1]]))
+
+
+# Sorting the keys i*n+j, then dropping repeats, against the np.unique it replaced.
+@pytest.mark.parametrize("n,e,seed", [(2, 1, 0), (2, 1000, 1), (50, 20, 2), (50, 100_000, 3),
+                                      (3000, 1000, 4), (3000, 100_000, 5)])
+def test_edge_normalisation_matches_unique(n, e, seed):
+    pairs = _random_pairs(n, e, seed)
+    for edges in (pairs, pairs.astype(np.int32), [tuple(p) for p in pairs[:500].tolist()],
+                  frozenset(map(tuple, pairs[:500].tolist()))):
+        got = EdgeGraph(n, edges).edges
+        want = reference_edges(n, list(edges) if isinstance(edges, frozenset) else edges)
+        assert np.array_equal(got, want) and got.shape == want.shape
+        assert got.dtype == np.intp and not got.flags.writeable
+    for empty in (np.empty((0, 2), dtype=np.int64), [], frozenset()):
+        got = EdgeGraph(n, empty).edges
+        assert got.shape == (0, 2) and got.dtype == np.intp and not got.flags.writeable
 
 
 def test_induced_subgraph():
