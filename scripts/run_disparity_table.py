@@ -1,32 +1,20 @@
 #!/usr/bin/env python3
 """Disparity of the weight-protocol graph against the exact critical and
 degree-1 graphs, for all three deployment kinds, on all nodes and on the
-interior. Writes one CSV row per (kind, scope, reference)."""
+interior. Runs the discrit pipeline once per kind (under <outdir>/<kind>)
+and writes one CSV row per (kind, scope, reference) to
+<outdir>/disparity_table.csv."""
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from discrit.channel import ChannelParams, simulate_hello
-from discrit.geometry import Region, generate_deployment, interior_nodes, save_csv
-from discrit.graphs import critical_radius, degree1_radius, disparity
-from discrit.protocol import run_discrit
-
-
-def rows_for_kind(kind, n, region, seed, margin_frac):
-    dep = generate_deployment(kind, n, region, seed)
-    weights = simulate_hello(dep, ChannelParams(), seed)
-    margin = margin_frac * min(region.width, region.height)
-    out = []
-    for scope, ids in (("all", range(dep.n)), ("interior", interior_nodes(dep, margin))):
-        sub = dep.subset(ids)
-        ghat, _ = run_discrit(weights.subset(ids))
-        for name, ref in (("critical", critical_radius(sub)[1]),
-                          ("degree1", degree1_radius(sub)[1])):
-            out.append([kind, scope, name, disparity(ghat, ref), disparity(ref, ghat)])
-    return out
+from discrit.cli import run_pipeline
+from discrit.config import output_dir
+from discrit.geometry import save_csv
 
 
 def main():
@@ -35,19 +23,23 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--side", type=float, default=1000.0, help="region side (m)")
     ap.add_argument("--margin", type=float, default=0.1, help="interior margin fraction")
-    ap.add_argument("--out", default="disparity_table.csv")
+    ap.add_argument("--outdir", default="disparity_table")
     args = ap.parse_args()
 
-    region = Region(args.side, args.side)
     rows = []
     for kind in ("uniform-iid", "randomised-lattice", "grid"):
-        n = args.n
-        if kind == "grid":
-            n = int(args.n ** 0.5) ** 2  # nearest square below
-        rows += rows_for_kind(kind, n, region, args.seed, args.margin)
+        n = int(args.n ** 0.5) ** 2 if kind == "grid" else args.n  # grid: nearest square below
+        doc = {"output_dir": str(Path(args.outdir) / kind), "seeds": [args.seed],
+               "deployment": {"kind": kind, "n": n, "region": {"width": args.side, "height": args.side}},
+               "channel": {}, "protocol": {"mode": "discrit"}, "interior_margin": args.margin}
+        run_pipeline(doc)
+        with open(output_dir(doc) / "disparity.csv", newline="") as fh:
+            rows += [[kind, r["scope"], r["g_b"], r["d_ab"], r["d_ba"]] for r in csv.DictReader(fh)]
         print(f"{kind}: done (n={n})")
-    save_csv(args.out, ["kind", "scope", "reference", "d_protocol_ref", "d_ref_protocol"], *zip(*rows))
-    print(f"wrote {args.out}")
+    path = Path(args.outdir) / "disparity_table.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)  # DISCRIT_OUTPUT_DIR moves the runs elsewhere
+    save_csv(path, ["kind", "scope", "reference", "d_protocol_ref", "d_ref_protocol"], *zip(*rows))
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

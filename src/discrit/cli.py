@@ -5,6 +5,12 @@ localize, pipeline, compare. Every subcommand takes an optional JSON
 config (checked by config.validate_config) plus override flags; all
 randomness comes from the seeds, so re-running a config rewrites every
 artifact byte for byte.
+
+Each command runs its stage for every seed. A stage computes the
+deployment, Hello table and graphs it reads, once per seed, on first
+use, and writes their artifacts then. A failure is reported under the
+stage that was running: `discrit eval` reports `stage 'eval' failed`
+also when the protocol run it pulled in fails.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 from . import config as config_mod
@@ -28,60 +35,65 @@ from .localize import corner_beacons, error_pattern, save_error_pattern_csv
 from .protocol import run_discrit, run_range_algorithm, trace_to_csv
 from .selforg import SelfOrgParams, find_h_opt, save_psi_csv
 
-STAGE_ORDER = ("deploy", "hello", "protocol", "eval", "discretize", "selforg", "localize")
-
-
-def _protocol_mode(doc) -> str:
-    return doc.get("protocol", {}).get("mode", "discrit")
-
-
-def _localize_graph(doc) -> str:
-    return doc.get("localize", {}).get("graph", "critical")
-
-
-def resolve_stages(doc: dict, requested) -> tuple:
-    """Close the requested stage set under hard dependencies."""
-    want = set(requested)
-    if "eval" in want:
-        want.add("protocol")
-    if "localize" in want and _localize_graph(doc) == "protocol":
-        want.add("protocol")
-    if "protocol" in want and _protocol_mode(doc) == "discrit":
-        want.add("hello")
-    want.add("deploy")
-    return tuple(s for s in STAGE_ORDER if s in want)
+# Stages in run order, each with the config block that puts it in a pipeline run.
+STAGE_ORDER = {"deploy": "deployment", "hello": "channel", "protocol": "protocol", "eval": "protocol",
+               "discretize": "discretize", "selforg": "selforg", "localize": "localize"}
 
 
 def pipeline_stages(doc: dict) -> tuple:
     """Stages implied by the blocks a config carries."""
-    want = ["deploy"]
-    if "channel" in doc:
-        want.append("hello")
-    if "protocol" in doc:
-        want += ["protocol", "eval"]
-    for block in ("discretize", "selforg", "localize"):
-        if block in doc:
-            want.append(block)
-    return resolve_stages(doc, want)
+    return tuple(stage for stage, block in STAGE_ORDER.items() if block in doc)
 
 
 class _SeedRun:
-    """All stages for one seed, memoising intermediate results."""
+    """The stages for one seed; each product is computed once, on first use."""
 
     def __init__(self, doc, seed, seed_dir):
         self.doc = doc
         self.seed = seed
         self.dir = seed_dir
         self.artifacts = []
-        self.dep = None
-        self.weights = None
-        self.protocol_graph = None
-        self._cgg = None
 
+    def _save(self, save, obj, name):
+        path = self.dir / name
+        save(obj, path)
+        self.artifacts.append(path)
+
+    @cached_property
+    def dep(self):
+        spec = self.doc["deployment"]
+        dep = generate_deployment(spec["kind"], spec["n"], Region(**spec.get("region", {})), self.seed)
+        self._save(save_positions_csv, dep, "deployment.csv")
+        self._save(save_deployment_json, dep, "deployment.json")
+        return dep
+
+    @cached_property
+    def weights(self):
+        weights = simulate_hello(self.dep, ChannelParams(**self.doc.get("channel", {})), self.seed)
+        self.artifacts += save_link_weights(weights, self.dir / "hello")
+        return weights
+
+    @cached_property
+    def protocol_graph(self):
+        graph, trace = self._protocol()
+        self.artifacts += save_graph(graph, self.dir / "protocol")
+        self._save(trace_to_csv, trace, "trace.csv")
+        return graph
+
+    @cached_property
     def cgg(self):
-        if self._cgg is None:
-            self._cgg = critical_radius(self.dep)[1]
-        return self._cgg
+        return critical_radius(self.dep)[1]
+
+    def _protocol(self, ids=None):
+        """The configured protocol on all nodes, or on the given ids alone.
+
+        Weight mode filters after weight computation: the ids keep the
+        full-deployment Hello weights, restricted to their pairs.
+        """
+        options = dict(self.doc.get("protocol", {}))
+        if options.pop("mode", "discrit") == "discrit":
+            return run_discrit(self.weights if ids is None else self.weights.subset(ids), **options)
+        return run_range_algorithm(self.dep if ids is None else self.dep.subset(ids), **options)
 
     def margin(self) -> float:
         """interior_margin in meters: one definition of "interior" for every stage."""
@@ -89,90 +101,53 @@ class _SeedRun:
                                                           self.dep.region.height)
 
     def deploy(self):
-        self.dep = generate_deployment(
-            self.doc["deployment"]["kind"], self.doc["deployment"]["n"],
-            Region(**self.doc["deployment"].get("region", {})), self.seed)
-        csv_path = self.dir / "deployment.csv"
-        json_path = self.dir / "deployment.json"
-        save_positions_csv(self.dep, csv_path)
-        save_deployment_json(self.dep, json_path)
-        self.artifacts += [csv_path, json_path]
+        return self.dep
 
     def hello(self):
-        params = ChannelParams(**self.doc.get("channel", {}))
-        self.weights = simulate_hello(self.dep, params, self.seed)
-        self.artifacts += save_link_weights(self.weights, self.dir / "hello")
+        return self.weights
 
     def protocol(self):
-        kwargs = {k: v for k, v in self.doc.get("protocol", {}).items() if k != "mode"}
-        if _protocol_mode(self.doc) == "discrit":
-            graph, trace = run_discrit(self.weights, **kwargs)
-        else:
-            graph, trace = run_range_algorithm(self.dep, **kwargs)
-        self.protocol_graph = graph
-        self.artifacts += save_graph(graph, self.dir / "protocol")
-        trace_path = self.dir / "trace.csv"
-        trace_to_csv(trace, trace_path)
-        self.artifacts.append(trace_path)
-
-    def _interior_protocol(self, ids, sub):
-        # Filter after weight computation: interior nodes keep the
-        # full-deployment Hello weights, restricted to interior pairs.
-        if _protocol_mode(self.doc) == "discrit":
-            graph, _ = run_discrit(self.weights.subset(ids))
-        else:
-            graph, _ = run_range_algorithm(sub)
-        return graph
+        return self.protocol_graph
 
     def eval(self):
         kind = self.doc["deployment"]["kind"]
-        cgg = self.cgg()
         _, g1 = degree1_radius(self.dep)
-        self.artifacts += save_graph(cgg, self.dir / "critical")
+        self.artifacts += save_graph(self.cgg, self.dir / "critical")
         self.artifacts += save_graph(g1, self.dir / "degree1")
-        rows = []
-        for name, ref in (("critical", cgg), ("degree1", g1)):
-            rows.append([self.seed, kind, "all", "protocol", name,
-                         disparity(self.protocol_graph, ref),
-                         disparity(ref, self.protocol_graph)])
+        scopes = [("all", self.protocol_graph, self.cgg, g1)]
         ids = interior_nodes(self.dep, self.margin())
         if ids.size >= 2:
             sub = self.dep.subset(ids)
-            proto_i = self._interior_protocol(ids, sub)
-            for name, ref in (("critical", critical_radius(sub)[1]),
-                              ("degree1", degree1_radius(sub)[1])):
-                rows.append([self.seed, kind, "interior", "protocol", name,
-                             disparity(proto_i, ref), disparity(ref, proto_i)])
-        return rows
+            scopes.append(("interior", self._protocol(ids)[0],
+                           critical_radius(sub)[1], degree1_radius(sub)[1]))
+        return [[self.seed, kind, scope, "protocol", name, disparity(graph, ref), disparity(ref, graph)]
+                for scope, graph, *refs in scopes for name, ref in zip(("critical", "degree1"), refs)]
 
     def discretize(self):
-        st = rho_stats(self.dep, self.cgg(), seed=self.seed, **self.doc.get("discretize", {}))
-        hist_path = self.dir / "rho_hist.csv"
-        save_rho_histogram_csv(st, hist_path)
+        st = rho_stats(self.dep, self.cgg, seed=self.seed, **self.doc.get("discretize", {}))
+        self._save(save_rho_histogram_csv, st, "rho_hist.csv")
         summary_path = self.dir / "rho.csv"
         save_csv(summary_path, ["n", "pairs", "pairs_excluded", "mean_rho", "var_rho", "cv_rho"],
                  [self.dep.n], [st.pairs_used], [st.pairs_excluded], [st.mean], [st.variance], [st.cv])
-        self.artifacts += [hist_path, summary_path]
+        self.artifacts.append(summary_path)
 
     def selforg(self):
-        params = SelfOrgParams(**self.doc.get("selforg", {}))
-        _, rows = find_h_opt(self.dep, self.cgg(), params, self.seed)
-        path = self.dir / "psi.csv"
-        save_psi_csv(rows, path)
-        self.artifacts.append(path)
+        _, rows = find_h_opt(self.dep, self.cgg, SelfOrgParams(**self.doc.get("selforg", {})), self.seed)
+        self._save(save_psi_csv, rows, "psi.csv")
 
     def localize(self):
-        graph = self.protocol_graph if _localize_graph(self.doc) == "protocol" else self.cgg()
+        on_protocol = self.doc.get("localize", {}).get("graph", "critical") == "protocol"
+        graph = self.protocol_graph if on_protocol else self.cgg
         pattern = error_pattern(self.dep, corner_beacons(self.dep), graph, margin=self.margin())
-        path = self.dir / "localization.csv"
-        save_error_pattern_csv(pattern, path)
-        self.artifacts.append(path)
+        self._save(save_error_pattern_csv, pattern, "localization.csv")
 
 
 def run_pipeline(doc: dict, stages=None) -> int:
-    """Run the config's stages for every seed; returns the exit status."""
+    """Run the given stages (by default the config's) for every seed; returns the exit status."""
     doc = config_mod.validate_config(doc)
-    stages = pipeline_stages(doc) if stages is None else resolve_stages(doc, stages)
+    stages = pipeline_stages(doc) if stages is None else tuple(stages)
+    if not set(stages) <= STAGE_ORDER.keys():
+        raise ValueError(f"unknown stage in {list(stages)}; stages are {list(STAGE_ORDER)}")
     out = config_mod.output_dir(doc)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -238,7 +213,7 @@ def _build_config(args) -> dict:
     return config_mod.validate_config(doc)
 
 
-# Each command's target stage; resolve_stages adds its dependencies.
+# Each command's stage; it computes the products it reads.
 COMMAND_STAGES = {
     "deploy": "deploy",
     "hello": "hello",

@@ -76,8 +76,12 @@ class Deployment:
 
 def subset_ids(ids, n: int) -> np.ndarray:
     """The node ids of a subset of 0..n-1 in ascending order; raises
-    ValueError on an id out of range or given twice."""
-    ids = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
+    ValueError unless the ids are integers (a float id or a boolean mask
+    is not read as ids), or on an id out of range or given twice."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"subset ids must be a 1-D sequence of integers, got dtype {ids.dtype}")
+    ids = np.sort(ids.astype(np.intp))
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"subset ids out of range for n={n}")
     dup = np.flatnonzero(ids[1:] == ids[:-1])

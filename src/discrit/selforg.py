@@ -141,7 +141,18 @@ def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
 
 def _aloha_links(topology: EdgeGraph, p: SelfOrgParams, seed) -> list:
     """(winners, destinations) of each chunk of Aloha slots that carried
-    traffic. Reads only the RNG and the CSR, so it may run off the main thread."""
+    traffic: saturated single-cell Aloha on a fixed topology. Reads only
+    the RNG and the CSR, so it may run off the main thread.
+
+    Each slot every node with a topology neighbour attempts with
+    probability q; a slot carries traffic iff exactly one node attempts,
+    and the winner sends to a uniformly random topology neighbour. Draw
+    order: the slots run in chunks of MAC_CHUNK_DRAWS // (number of
+    contenders); each chunk draws its attempt indicators
+    (MAC_PIECE_DRAWS at a time, which leaves the stream unchanged), then
+    one destination per successful slot of that chunk. A winner's
+    neighbours are taken in ascending id order.
+    """
     csr = topology._csr
     deg = np.diff(csr.indptr)
     active = np.flatnonzero(deg)
@@ -167,7 +178,8 @@ def _aloha_links(topology: EdgeGraph, p: SelfOrgParams, seed) -> list:
 
 
 def _credit(dep: Deployment, links: list, p: SelfOrgParams) -> float:
-    """Bit-meters per slot carried by the links of _aloha_links, summed chunk by chunk."""
+    """Bit-meters per slot carried by the links of _aloha_links, summed chunk
+    by chunk; a link of length d carries d * w * log(1 + alpha0 p_t / (d^eta sigma2))."""
     total = 0.0
     for winners, nbr in links:
         d = pair_distances(dep, winners, nbr)
@@ -175,33 +187,18 @@ def _credit(dep: Deployment, links: list, p: SelfOrgParams) -> float:
     return total / p.slots
 
 
-def _simulate_psi(dep: Deployment, topology: EdgeGraph, p: SelfOrgParams, seed: int) -> float:
-    """Saturated single-cell Aloha on a fixed topology.
-
-    Each slot every node with a topology neighbour attempts with
-    probability q; a slot carries traffic iff exactly one node attempts,
-    and the winner sends to a uniformly random topology neighbour,
-    crediting d * w * log(1 + alpha0 p_t / (d^eta sigma2)) bit-meters.
-    Returns total bit-meters per slot. Draw order: the slots run in
-    chunks of MAC_CHUNK_DRAWS // (number of contenders); each chunk draws
-    its attempt indicators (MAC_PIECE_DRAWS at a time, which leaves the
-    stream unchanged), then one destination per successful slot of that
-    chunk. A winner's neighbours are taken in ascending id order.
-    """
-    return _credit(dep, _aloha_links(topology, p, seed), p)
-
-
 def simulate_transport_capacity(dep: Deployment, g_base: EdgeGraph, h: int,
                                 p: SelfOrgParams, seed: int) -> float:
     """Simulated capacity of the h-hop topology of g_base (bit-meters/sec).
 
     g_base must be connected. Nodes without an h-hop neighbour sit out
-    of contention.
+    of contention. The draws come from the child of SeedSequence(seed)
+    that find_h_opt gives h, so both return the same psi(h).
     """
     topology = build_h_hop_topology(g_base, h)
     if not topology.num_edges:
         raise ValueError(f"every node is isolated in the {h}-hop topology")
-    return _simulate_psi(dep, topology, p, seed)
+    return _credit(dep, _aloha_links(topology, p, np.random.SeedSequence(seed).spawn(h)[h - 1]), p)
 
 
 @dataclass
@@ -225,7 +222,7 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
 
     The MAC draws run on min(CPUs, h_max) worker threads, one h per
     thread at a time, each h from its own child of SeedSequence(seed) and
-    in _simulate_psi's order, so the rows do not depend on the CPU count.
+    in _aloha_links's order, so the rows do not depend on the CPU count.
     The credit runs on the calling thread.
     """
     if g_base.n != dep.n:

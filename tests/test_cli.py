@@ -10,6 +10,7 @@ import pytest
 
 import discrit
 from discrit.channel import ChannelParams
+from discrit import cli
 from discrit.cli import compare_graphs, main, run_pipeline
 from discrit.config import CONFIG_KEYS, ConfigError, config_hash, validate_config
 from discrit.geometry import Region
@@ -74,6 +75,72 @@ def test_full_pipeline_writes_disparity_table(tmp_path):
     assert (out / "seed-1" / "protocol.edges.csv").exists()
     assert (out / "seed-1" / "trace.csv").exists()
     assert (out / "seed-1" / "hello.weights.csv").exists()
+
+
+DEPLOY_FILES = ["seed-1/deployment.csv", "seed-1/deployment.json"]
+HELLO_FILES = ["seed-1/hello.weights.csv", "seed-1/hello.weights.json"]
+PROTOCOL_FILES = ["seed-1/protocol.edges.csv", "seed-1/protocol.graph.json", "seed-1/trace.csv"]
+
+
+@pytest.mark.parametrize("command, files", [
+    ("deploy", DEPLOY_FILES),
+    ("hello", DEPLOY_FILES + HELLO_FILES),
+    ("discrit", DEPLOY_FILES + HELLO_FILES + PROTOCOL_FILES),
+    ("eval", DEPLOY_FILES + HELLO_FILES + PROTOCOL_FILES + [
+        "disparity.csv", "seed-1/critical.edges.csv", "seed-1/critical.graph.json",
+        "seed-1/degree1.edges.csv", "seed-1/degree1.graph.json"]),
+    ("discretize", DEPLOY_FILES + ["seed-1/rho.csv", "seed-1/rho_hist.csv"]),
+    ("selforg", DEPLOY_FILES + ["seed-1/psi.csv"]),
+    ("localize", DEPLOY_FILES + ["seed-1/localization.csv"]),
+])
+def test_command_writes_its_stage_and_what_it_reads(tmp_path, command, files):
+    # Each command writes the products its stage reads, and nothing of the
+    # stages it does not run, although the config carries every block.
+    doc = dict(small_full_config(tmp_path), discretize={}, selforg={"h_max": 3, "slots": 2000},
+               localize={})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 0
+    out = Path(doc["output_dir"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["file"] for e in manifest["artifacts"]] == sorted(files)
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert written == set(files) | {"manifest.json"}
+
+
+@pytest.mark.parametrize("mode", ["discrit", "distance"])
+def test_interior_protocol_gets_the_configured_options(tmp_path, monkeypatch, mode):
+    # The interior run takes the configured termination options, as the full run does.
+    calls = []
+
+    def spy(run):
+        def wrapped(arg, **options):
+            calls.append((arg.n, options))
+            return run(arg, **options)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_discrit", spy(cli.run_discrit))
+    monkeypatch.setattr(cli, "run_range_algorithm", spy(cli.run_range_algorithm))
+    options = {"termination": "distributed", "timeout_rounds": 2}
+    doc = dict(small_full_config(tmp_path), protocol=dict(options, mode=mode))
+    assert run_pipeline(doc, stages=["eval"]) == 0
+    assert [o for _, o in calls] == [options, options]
+    assert calls[0][0] == 120 > calls[1][0]
+
+
+def test_unknown_stage_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown stage"):
+        run_pipeline(minimal_config(tmp_path), stages=["deploy", "margin"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_failure_is_reported_under_the_running_stage(tmp_path):
+    # A product a stage pulls in fails under that stage's name.
+    doc = dict(small_full_config(tmp_path), channel={"slots": 1})
+    with pytest.raises(RuntimeError, match="stage 'eval' failed for seed 1"):
+        run_pipeline(doc, stages=["eval"])
+    with pytest.raises(RuntimeError, match="stage 'protocol' failed for seed 1"):
+        run_pipeline(doc)
 
 
 def test_rho_summary_counts_every_pair(tmp_path):

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pairwise_distance, reference_distance_matrix, reference_save_csv
+from discrit.channel import LinkWeightTable
 from discrit.geometry import (
     DISTANCE_BLOCK_ROWS, Deployment, Region, deployment_to_json, distance_matrix, generate_deployment,
-    interior_nodes, pair_distances, save_csv, save_positions_csv,
+    interior_nodes, pair_distances, save_csv, save_positions_csv, subset_ids,
 )
+from discrit.graphs import EdgeGraph, induced_subgraph
 
 
 def test_region_validation():
@@ -232,6 +234,28 @@ def test_subset_rejects_duplicate_and_out_of_range_ids(km_region):
         dep.subset([5, 2, 5])
     with pytest.raises(ValueError, match="subset ids out of range for n=20"):
         dep.subset([2, 20])
+
+
+def test_subset_ids_must_be_integers(km_region):
+    # Float ids were truncated (1.5 -> 1) and a boolean mask was read as
+    # ids 1, 0, 1; both now raise, in every subset that shares subset_ids.
+    dep = generate_deployment("uniform-iid", 6, km_region, seed=2)
+    table = LinkWeightTable.from_counts(np.ones((6, 6), dtype=int) - np.eye(6, dtype=int), [10] * 6)
+    graph = EdgeGraph(6, [(0, 1), (1, 2), (2, 5)])
+    subsets = (dep.subset, table.subset, lambda ids: induced_subgraph(graph, ids))
+    for bad in ([1.5, 2.9], np.array([1.0, 2.0]), [True, False, True], np.array([True] * 6)):
+        for subset in subsets:
+            with pytest.raises(ValueError, match="must be a 1-D sequence of integers"):
+                subset(bad)
+    # Integer ids of any container give the ids the old int() loop gave.
+    for ids in (range(6), [4, 0, 2], (np.int32(3), np.int32(1)), np.array([5, 1], dtype=np.int64),
+                np.array([2, 3], dtype=np.uint8), []):
+        old = np.asarray(sorted(int(i) for i in ids), dtype=np.intp)
+        got = subset_ids(ids, 6)
+        assert got.dtype == np.intp and np.array_equal(got, old), ids
+        if old.size >= 2:  # a deployment needs two nodes
+            assert np.array_equal(dep.subset(ids).positions, dep.positions[old])
+        assert table.subset(ids).n == induced_subgraph(graph, ids).n == old.size
 
 
 def test_deployment_validation(unit_region):

@@ -14,7 +14,7 @@ from discrit import selforg
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
-    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _h_hop_topologies, _simulate_psi,
+    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _aloha_links, _credit, _h_hop_topologies,
     aloha_contention_constant, build_h_hop_topology, find_h_opt, optimal_hop_length,
     simulate_transport_capacity, theoretical_psi,
 )
@@ -114,12 +114,25 @@ def test_h_hop_topology_matches_reference():
             for k, topology in enumerate(_h_hop_topologies(hops, lo, h + 2), start=lo):
                 assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, lo, k)
         psi = simulate_transport_capacity(dep, cgg, h, P, seed=5)
-        assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, 5), label
+        child = np.random.SeedSequence(5).spawn(h)[h - 1]
+        assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, child), label
     # Past the diameter T_h is empty and scores zero.
     dep = line_deployment([100.0, 200.0, 300.0], side=1000.0)
     _, rows = find_h_opt(dep, path_graph(3), replace(P, h_max=3), seed=0)
     assert [(r.n_edges, r.n_active) for r in rows] == [(2, 3), (1, 2), (0, 0)]
     assert rows[2].psi_sim == 0.0 and math.isnan(rows[2].mean_hop_len)
+
+
+def test_transport_capacity_matches_find_h_opt_rows():
+    # One seed per h: simulate_transport_capacity draws h from the same
+    # SeedSequence child as find_h_opt, so the two give the same psi(h).
+    dep = generate_deployment("uniform-iid", 200, Region(1000, 1000), 4)
+    cgg = critical_radius(dep)[1]
+    p = replace(P, h_max=5, slots=2000)
+    _, rows = find_h_opt(dep, cgg, p, seed=7)
+    for h in range(1, p.h_max + 1):
+        assert rows[h - 1].psi_sim > 0, h
+        assert simulate_transport_capacity(dep, cgg, h, p, seed=7) == rows[h - 1].psi_sim, h
 
 
 def test_aloha_raw_draws_match_reference_loop():
@@ -144,7 +157,7 @@ def test_aloha_raw_draws_match_reference_loop():
         p = replace(P, q=q, slots=slots)
         adj = reference_topology_adjacency(hop_matrix(g), 1)
         expect = reference_simulate_psi(distance_matrix(d), adj, p, case)
-        assert _simulate_psi(d, g, p, case) == expect, case
+        assert _credit(d, _aloha_links(g, p, case), p) == expect, case
     assert expect > 0
 
 
