@@ -19,7 +19,9 @@ simulate_hello tests. In floating point a second one could pass only if
 beta were within rounding of 1 and sigma2 below that of the total.
 
 simulate_hello has two kernels with the same counts. Rayleigh-power
-fading and beta < 1 run the slot loop, _slots. Deterministic capture
+fading and beta < 1 run the slot loop, _slots, in two stages: a helper
+thread draws slot k+1 (transmit indicators, then fading coefficients,
+the seed's order) while the caller decodes slot k. Deterministic capture
 runs HELLO_BLOCK_SLOTS slots at a time: one matrix product gives every
 listener's total, a rank table its strongest transmitter. Two summation
 orders of n nonnegative terms differ by at most about n eps relative,
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,25 +137,39 @@ def _gain_matrix(dep: Deployment, params: ChannelParams) -> np.ndarray:
     return np.multiply(d, params.p_t, out=d)
 
 
+def _slot_draws(rng, n: int, params: ChannelParams, buf: np.ndarray):
+    """One slot's draws in the seed's order: transmit indicators, then the
+    rayleigh-power coefficients per (tx, rx) pair, written into buf."""
+    transmitting = rng.random(n) < params.alpha
+    tx, rx = np.flatnonzero(transmitting), np.flatnonzero(~transmitting)
+    if params.fading != "rayleigh-power":
+        return tx, rx, None
+    h = rng.standard_exponential(out=buf[:tx.size * rx.size].reshape(tx.size, rx.size))
+    h *= params.fading_mean  # the same bits as rng.exponential(fading_mean, h.shape)
+    return tx, rx, h
+
+
 def _slots(gain: np.ndarray, rng, params: ChannelParams):
     """Yield (tx, rx, sig, total) per Hello slot: transmitter and listener
     ids, the faded power sig[k, m] from tx[k] at rx[m], and the total[m]
     that rx[m] hears in all (sig and total are None if nobody or everybody
-    transmits). Per slot the draw order is: transmit indicators, then
-    rayleigh-power coefficients per (tx, rx) pair."""
+    transmits). A helper thread makes the draws (_slot_draws) into two
+    scratch buffers in turn, and queues slot k+2's once the caller has
+    applied slot k's; only it touches rng, slot after slot, so the stream
+    is unchanged and slot k+1 is drawn while the caller decodes slot k."""
     n = gain.shape[0]
-    for _ in range(params.slots):
-        transmitting = rng.random(n) < params.alpha
-        tx = np.flatnonzero(transmitting)
-        rx = np.flatnonzero(~transmitting)
-        if tx.size == 0 or rx.size == 0:
-            yield tx, rx, None, None
-            continue
-        # Keep sig C-ordered (take, not [:, rx]): axis-0 sums add in tx order.
-        sig = gain[tx].take(rx, axis=1)
-        if params.fading == "rayleigh-power":
-            sig *= rng.exponential(params.fading_mean, size=sig.shape)
-        yield tx, rx, sig, sig.sum(axis=0)
+    bufs = [np.empty(n * n // 4) for _ in range(2)]  # tx.size * rx.size <= n^2 / 4
+    with ThreadPoolExecutor(1) as pool:
+        draws = [pool.submit(_slot_draws, rng, n, params, buf) for buf in bufs[:params.slots]]
+        for k in range(params.slots):
+            tx, rx, h = draws[k % 2].result()
+            # Keep sig C-ordered (take, not [:, rx]): axis-0 sums add in tx order.
+            sig = gain[tx].take(rx, axis=1) if tx.size and rx.size else None
+            if sig is not None and h is not None:
+                sig *= h
+            if k + 2 < params.slots:  # h is applied, so its buffer is free
+                draws[k % 2] = pool.submit(_slot_draws, rng, n, params, bufs[k % 2])
+            yield tx, rx, sig, None if sig is None else sig.sum(axis=0)
 
 
 HELLO_BLOCK_SLOTS = 64  # slots per block of deterministic capture
@@ -212,8 +229,9 @@ def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWei
             continue
         need = params.beta * (params.sigma2 + total)
         if params.beta >= 1:
-            j = np.flatnonzero(sig.max(axis=0) * (1.0 + params.beta) >= need)
-            i = sig[:, j].argmax(axis=0)
+            i = sig.argmax(axis=0)  # the first strongest, as a tie-break
+            j = np.flatnonzero(sig[i, np.arange(rx.size)] * (1.0 + params.beta) >= need)
+            i = i[j]
         else:
             i, j = np.nonzero(sig * (1.0 + params.beta) >= need)
         counts[tx[i] * n + rx[j]] += 1

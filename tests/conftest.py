@@ -135,7 +135,8 @@ def reference_hello(dep, params, seed):
             sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
         total = sig.sum(axis=0)
         ok = sig * one_plus_beta >= params.beta * (params.sigma2 + total[None, :])
-        c[np.ix_(tx, rx)] += ok
+        i, j = np.nonzero(ok)  # a slot's (tx, rx) pairs are distinct
+        c[tx[i], rx[j]] += 1
     return LinkWeightTable.from_counts(c, b)
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +31,9 @@ RAYLEIGH = {"fading": "rayleigh-power", "fading_mean": 1.0}
 # spacing gives exact gain ties at a listener; beta below and above 1
 # under both fading kinds (beta < 1 lets one listener decode several
 # transmitters); every node transmitting; and a sparse alpha that leaves
-# most slots without a transmitter.
+# most slots without a transmitter. The rayleigh cases with mean 2.5, one
+# slot, an odd slot count and idle slots check the slot loop's helper
+# thread and its two reused coefficient buffers.
 SMALL = replace(PARAMS, slots=300)
 ACCEPTANCE_CASES = [
     pytest.param("uniform-iid", 1000, 1000.0, replace(PARAMS, slots=5000), seed,
@@ -47,6 +52,17 @@ SMALL_CASES = [
     pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=1.0, slots=50), 4, id="alpha-one"),
     pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=0.02, slots=2000), 5,
                  id="idle-slots"),
+] + [
+    pytest.param("uniform-iid", 300, 500.0, replace(SMALL, beta=beta, fading="rayleigh-power",
+                                                    fading_mean=2.5), 6, id=f"beta{beta}-mean2.5")
+    for beta in (0.5, 4.0)
+] + [
+    pytest.param("uniform-iid", 300, 500.0, replace(SMALL, slots=slots, **RAYLEIGH), 7,
+                 id=f"rayleigh-slots{slots}")
+    for slots in (1, 77)
+] + [
+    pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=0.02, slots=2000, **RAYLEIGH), 8,
+                 id="idle-slots-rayleigh"),
 ]
 
 
@@ -115,6 +131,39 @@ def test_hello_coincident_nodes_match_reference(monkeypatch):
     with np.errstate(divide="ignore"):
         assert _matches_reference(Deployment(pos, "uniform-iid", dep.region, 3), SMALL, 3)
     assert not calls
+
+
+def _same_slots(a, b):
+    return len(a) == len(b) and all(
+        (x is None and y is None) or np.array_equal(x, y)
+        for sa, sb in zip(a, b) for x, y in zip(sa, sb, strict=True))
+
+
+def test_slot_helper_thread_ends_with_the_loop():
+    # The slot loop's draw thread is gone once the consumer closes the
+    # generator or leaves its loop by an exception, and a fresh call
+    # yields the same first slots.
+    params = replace(SMALL, **RAYLEIGH)
+    dep = generate_deployment("uniform-iid", 300, Region(500, 500), 7)
+    gain = channel._gain_matrix(dep, params)
+    threads = threading.active_count()
+    slots = channel._slots(gain, np.random.default_rng(7), params)
+    closed = list(itertools.islice(slots, 3))
+    assert threading.active_count() == threads + 1
+    slots.close()
+    assert threading.active_count() == threads
+    raised = []
+    with pytest.raises(RuntimeError, match="consumer"):
+        for slot in channel._slots(gain, np.random.default_rng(7), params):
+            raised.append(slot)
+            if len(raised) == 3:
+                raise RuntimeError("consumer stops")
+    assert threading.active_count() == threads
+    with contextlib.closing(channel._slots(gain, np.random.default_rng(7), params)) as slots:
+        fresh = list(itertools.islice(slots, 3))
+    assert threading.active_count() == threads
+    assert _same_slots(fresh, closed) and _same_slots(fresh, raised)
+    assert all(sig is not None for _, _, sig, _ in fresh)
 
 
 # The in-place power and product against p_t * d ** -eta, on a grid

@@ -40,3 +40,18 @@ def test_script_runs_and_writes_its_files(tmp_path, script):
         rows = (tmp_path / name).read_text().splitlines()
         # a header and at least one row; the exact count where it is fixed
         assert len(rows) >= 2 and lines in (None, len(rows)), (name, len(rows))
+
+
+def test_disparity_table_runs_each_kind_under_the_output_dir_variable(tmp_path):
+    # DISCRIT_OUTPUT_DIR names the run directory: each kind keeps its own
+    # <kind>/ there, and the table stays under --outdir.
+    runs = tmp_path / "runs"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_disparity_table.py"),
+                           *CASES["run_disparity_table.py"][0]], cwd=tmp_path,
+                          env=dict(os.environ, DISCRIT_OUTPUT_DIR=str(runs)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in runs.iterdir()) == ["grid", "randomised-lattice", "uniform-iid"]
+    for kind in runs.iterdir():
+        assert (kind / "disparity.csv").is_file() and (kind / "manifest.json").is_file()
+    assert len((tmp_path / "disparity_table/disparity_table.csv").read_text().splitlines()) == 13
