@@ -245,30 +245,28 @@ class EmpiricalCDF:
         samples = np.asarray(samples, dtype=np.float64).ravel()
         if samples.size == 0:
             raise ValueError("empty sample")
+        if np.isnan(samples).any():
+            raise ValueError("a sample is NaN")
         self.samples = np.sort(samples)
 
     def __call__(self, x):
         return np.searchsorted(self.samples, x, side="right") / self.samples.size
 
 
-def predict_p(d: float, f_cdf, params: ChannelParams) -> float:
+def predict_p(d: float, cdf: EmpiricalCDF, params: ChannelParams) -> float:
     """Reception probability at distance d from the total-power CDF.
 
-    Integrates (1 - alpha) * F((1 + beta) h p_t / (beta d^eta) - sigma2)
-    over the fading law; the deterministic law collapses to a single
-    evaluation at h = 1.
+    (1 - alpha) E_h F(scale h - sigma2), scale = (1 + beta) p_t / (beta d^eta), with
+    h = 1 under deterministic fading; under rayleigh-power, the mean over F's samples s
+    of P(h >= (s + sigma2) / scale) = exp(-max(s + sigma2, 0) / (scale fading_mean)).
     """
-    if d <= 0:
-        raise ValueError(f"distance must be > 0, got {d}")
+    if not (0 < d < math.inf):  # written so that NaN fails
+        raise ValueError(f"distance must be > 0 and finite, got {d}")
     scale = (1.0 + params.beta) * params.p_t / (params.beta * d ** params.eta)
     if params.fading == "deterministic":
-        return (1.0 - params.alpha) * float(f_cdf(scale - params.sigma2))
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    h = -params.fading_mean * np.log1p(-u)
-    vals = np.array([f_cdf(scale * hv - params.sigma2) for hv in h], dtype=np.float64)
-    return (1.0 - params.alpha) * float(np.dot(w, vals))
+        return (1.0 - params.alpha) * float(cdf(scale - params.sigma2))
+    t = np.maximum(cdf.samples + params.sigma2, 0.0) / (scale * params.fading_mean)
+    return (1.0 - params.alpha) * float(np.exp(-t).mean())
 
 
 @dataclass
@@ -311,17 +309,14 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
     if annuli < 1:
         raise ValueError(f"annuli must be >= 1, got {annuli}")
     ring = square_annulus_index(dep, annuli)
-    samples = [[] for _ in range(annuli)]
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
-    for _, rx, sig, total in _slots(gain, rng, params):
-        if sig is not None:
-            rx_ring = ring[rx]
-            for a, s in enumerate(samples):
-                s.append(total[rx_ring == a])
-    pooled = [np.concatenate(s) if s else np.empty(0) for s in samples]
-    top = max((float(p.max()) for p in pooled if p.size), default=0.0)
+    # Drains _slots, whose helper thread ends with the generator.
+    heard = [(ring[rx], total) for _, rx, sig, total in _slots(gain, rng, params) if sig is not None]
+    rings, totals = (np.concatenate(a) for a in zip(*heard)) if heard else (np.empty(0),) * 2
+    top = float(totals.max(initial=0.0))
     if top <= 0:
         raise ValueError("no power was received in any slot")
+    pooled = [totals[rings == a] for a in range(annuli)]  # each ring's samples in slot order
     edges = np.linspace(0.0, top, 201)
     masses = [np.histogram(p, bins=edges)[0] / p.size if p.size else np.zeros(200)
               for p in pooled]
@@ -348,18 +343,15 @@ def homogeneity_check(dep: Deployment, r: float, eps: float,
     network density) farthest from 1; the check passes iff it lies
     within [1 - eps, 1 + eps].
     """
-    if r <= 0:
-        raise ValueError(f"r must be > 0, got {r}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    for name, v in (("r", r), ("eps", eps), ("grid_step", grid_step)):
+        if not (0 < v < math.inf):  # written so that NaN fails
+            raise ValueError(f"{name} must be > 0 and finite, got {v}")
     w, h = dep.region.width, dep.region.height
     if 2 * r > w or 2 * r > h:
         raise ValueError(f"interior is empty: 2r = {2 * r} exceeds a region side")
     xs = np.arange(r, w - r + grid_step * 1e-9, grid_step)
     ys = np.arange(r, h - r + grid_step * 1e-9, grid_step)
-    pts = np.array([(x, y) for x in xs for y in ys])
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])  # x-major
     tree = cKDTree(dep.positions)
     counts = tree.query_ball_point(pts, r, return_length=True)
     density = counts / (math.pi * r * r)

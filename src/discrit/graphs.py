@@ -141,7 +141,7 @@ def _pairs_within(dep: Deployment, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 def build_gg(dep: Deployment, r: float) -> EdgeGraph:
     """Geometric graph of radius r (closed ball)."""
-    if r < 0:
+    if not (r >= 0):  # written so that NaN fails
         raise ValueError(f"radius must be >= 0, got {r}")
     return EdgeGraph(dep.n, _pairs_within(dep, r)[0], radius=float(r))
 

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .geometry import Deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, hop_matrix, is_connected
@@ -81,8 +82,8 @@ def link_rate(d, p: SelfOrgParams):
 
 def theoretical_psi(d: float, p: SelfOrgParams, a: float | None = None) -> float:
     """Transport capacity (bit-meters/sec) of hops of length d."""
-    if d <= 0:
-        raise ValueError(f"hop length must be > 0, got {d}")
+    if not (0 < d < math.inf):  # written so that NaN fails
+        raise ValueError(f"hop length must be > 0 and finite, got {d}")
     aval = a if a is not None else p.a
     if aval is None:
         raise ValueError("no contention constant: set params.a or pass a")
@@ -90,34 +91,17 @@ def theoretical_psi(d: float, p: SelfOrgParams, a: float | None = None) -> float
 
 
 def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
-    """Argmax of the capacity curve on [d_lo, d_hi], grid plus refinement.
+    """Argmax of the capacity curve d log(1 + x), x = alpha0 p_t / (d^eta sigma2), on [d_lo, d_hi].
 
-    The curve rises then falls, so a coarse grid brackets the peak and
-    golden-section search refines it.
+    Its slope log1p(x) - eta x / (1 + x) is positive for eta <= 1, and for eta > 1 it
+    changes sign once, where log(1 + x) = eta - eta / (1 + x): x* = expm1(eta + W0(-eta e^-eta)).
     """
     if not (0 < d_lo < d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got ({d_lo}, {d_hi})")
-    obj = lambda d: d * float(link_rate(d, p))
-    grid = np.linspace(d_lo, d_hi, 512)
-    vals = [obj(d) for d in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > 1e-9 * max(abs(b), 1.0):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = obj(d)
-    return float((a + b) / 2)
+    if p.eta <= 1:
+        return float(d_hi)
+    x = math.expm1(p.eta + lambertw(-p.eta * math.exp(-p.eta)).real)
+    return float(min(max((p.alpha0 * p.p_t / p.sigma2 / x) ** (1 / p.eta), d_lo), d_hi))
 
 
 def _h_hop_topologies(hops: np.ndarray, h_min: int, h_max: int) -> list:

@@ -21,6 +21,8 @@ from discrit.channel import (
     simulate_hello, square_annulus_index, total_variation,
 )
 from discrit.geometry import Deployment, Region, generate_deployment
+from discrit.graphs import build_gg
+from discrit.selforg import SelfOrgParams, theoretical_psi
 
 PARAMS = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=2000)
 RAYLEIGH = {"fading": "rayleigh-power", "fading_mean": 1.0}
@@ -327,6 +329,36 @@ def test_predict_p_rayleigh_quadrature_vs_monte_carlo():
     scale = (1 + params.beta) * params.p_t / (params.beta * d ** params.eta)
     mc = (1 - params.alpha) * np.mean(cdf(scale * h - params.sigma2))
     assert abs(predict_p(d, cdf, params) - mc) < 5e-3
+
+
+def test_predict_p_rayleigh_is_the_exact_ecdf_expectation():
+    # Sample s is counted iff h >= (s + sigma2) / scale, which has probability
+    # exp(-(s + sigma2) / (scale mean)), and 1 where s + sigma2 <= 0 (s = -0.5).
+    params = ChannelParams(p_t=2.0, eta=2.5, sigma2=0.3, beta=1.0, alpha=0.2,
+                           fading="rayleigh-power", fading_mean=1.3, slots=1)
+    d = 1.7
+    m = (1 + params.beta) * params.p_t / (params.beta * d ** params.eta) * params.fading_mean
+    expected = (1 - params.alpha) * (1.0 + math.exp(-(0.2 + 0.3) / m) + math.exp(-(1.1 + 0.3) / m)) / 3
+    got = predict_p(d, EmpiricalCDF([1.1, -0.5, 0.2]), params)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+# Outside inputs whose checks used to let NaN (or Infinity) through to a
+# result: an empty graph of radius nan, p = 0.9, psi = nan, a failed
+# homogeneity verdict, and a NaN sample counted above every x.
+@pytest.mark.parametrize("call", [
+    lambda: build_gg(line_deployment([0.0, 1.0]), math.nan),
+    lambda: predict_p(math.nan, EmpiricalCDF([0.1, 0.4]), PARAMS),
+    lambda: predict_p(math.nan, EmpiricalCDF([0.1, 0.4]), replace(PARAMS, **RAYLEIGH)),
+    lambda: theoretical_psi(math.nan, SelfOrgParams(a=1.0)),
+    lambda: theoretical_psi(math.inf, SelfOrgParams(a=1.0)),
+    lambda: homogeneity_check(generate_deployment("grid", 100, Region(1, 1), 0), 0.1, math.nan, 0.05),
+    lambda: EmpiricalCDF([1.0, math.nan]),
+], ids=["build_gg-nan", "predict_p-nan", "predict_p-rayleigh-nan", "theoretical_psi-nan",
+        "theoretical_psi-inf", "homogeneity_check-eps-nan", "EmpiricalCDF-nan"])
+def test_outside_inputs_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_empirical_cdf():

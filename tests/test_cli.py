@@ -257,10 +257,11 @@ def test_localize_margin_key_rejected(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(discrit.__file__).resolve().parent.parent)
-    code = "import sys, discrit.cli; print('scipy.stats' in sys.modules, 'jsonschema' in sys.modules)"
+    code = ("import sys, discrit.cli; "
+            "print(*(m in sys.modules for m in ('scipy.stats', 'jsonschema', 'scipy.optimize')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
 def test_cli_main_deploy_and_flags(tmp_path, capsys):

@@ -53,6 +53,27 @@ def test_optimal_hop_length_matches_brute_force():
     assert abs(d_opt - brute) <= 1e-3 * brute
 
 
+@pytest.mark.parametrize("eta", [1.05, 1.5, 2.0, 3.0, 4.0])
+def test_optimal_hop_length_is_the_slope_root(eta):
+    # d log(1 + x), x = K / d^eta, has slope log1p(x) - eta x / (1 + x)
+    p = replace(P, eta=eta)
+    d = optimal_hop_length(p, 1e-3, 1e12)
+    x = p.alpha0 * p.p_t / (d ** eta * p.sigma2)
+    assert abs(math.log1p(x) - eta * x / (1 + x)) <= 1e-12 * math.log1p(x)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_optimal_hop_length_without_interior_peak_is_d_hi(eta):
+    assert optimal_hop_length(replace(P, eta=eta), 1.0, 2000.0) == 2000.0
+
+
+def test_optimal_hop_length_clips_to_the_interval():
+    d_star = optimal_hop_length(P, 1e-3, 1e12)
+    assert 1.0 < d_star < 2000.0
+    assert optimal_hop_length(P, 2 * d_star, 3 * d_star) == 2 * d_star
+    assert optimal_hop_length(P, d_star / 3, d_star / 2) == d_star / 2
+
+
 def test_h_hop_topology_examples():
     dep = generate_deployment("uniform-iid", 80, Region(1000, 1000), 1)
     _, cgg = critical_radius(dep)
