@@ -30,13 +30,9 @@ from .protocol import (
 )
 from .discretize import RhoStats, rho_stats, rho_trend
 from .selforg import (
-    SelfOrgParams, theoretical_psi, optimal_hop_length,
-    build_h_hop_topology, simulate_transport_capacity, find_h_opt,
+    SelfOrgParams, theoretical_psi, optimal_hop_length, find_h_opt,
     aloha_contention_constant,
 )
-from .localize import (
-    BeaconSet, PositionSolverError, corner_beacons, estimate_position,
-    error_pattern,
-)
+from .localize import BeaconSet, corner_beacons, error_pattern
 
 __version__ = "0.1.0"

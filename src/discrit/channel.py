@@ -78,8 +78,8 @@ class ChannelParams:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.fading not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.fading!r}")
-        if not (self.slots >= 1):
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
+        if isinstance(self.slots, bool) or not isinstance(self.slots, (int, np.integer)) or self.slots < 1:
+            raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +259,23 @@ def predict_p(d: float, cdf: EmpiricalCDF, params: ChannelParams) -> float:
     (1 - alpha) E_h F(scale h - sigma2), scale = (1 + beta) p_t / (beta d^eta), with
     h = 1 under deterministic fading; under rayleigh-power, the mean over F's samples s
     of P(h >= (s + sigma2) / scale) = exp(-max(s + sigma2, 0) / (scale fading_mean)).
+    Where d^eta leaves the float range, scale is its limit, 0 or inf.
     """
     if not (0 < d < math.inf):  # written so that NaN fails
         raise ValueError(f"distance must be > 0 and finite, got {d}")
-    scale = (1.0 + params.beta) * params.p_t / (params.beta * d ** params.eta)
+    try:
+        scale = (1.0 + params.beta) * params.p_t / (params.beta * d ** params.eta)
+    except OverflowError:
+        scale = 0.0
+    except ZeroDivisionError:
+        scale = math.inf
     if params.fading == "deterministic":
         return (1.0 - params.alpha) * float(cdf(scale - params.sigma2))
-    t = np.maximum(cdf.samples + params.sigma2, 0.0) / (scale * params.fading_mean)
-    return (1.0 - params.alpha) * float(np.exp(-t).mean())
+    excess = np.maximum(cdf.samples + params.sigma2, 0.0)
+    denom = scale * params.fading_mean
+    # P(h >= excess / 0) is 1 for a zero excess, 0 otherwise
+    tail = np.exp(-excess / denom) if denom else excess == 0
+    return (1.0 - params.alpha) * float(tail.mean())
 
 
 @dataclass

@@ -50,8 +50,10 @@ class EdgeGraph:
     radius: float | None = None
 
     def __post_init__(self):
-        raw = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
-        e = np.asarray(raw, dtype=np.intp)
+        e = np.asarray(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges))
+        if e.size and not np.issubdtype(e.dtype, np.integer):  # a float or bool id is not an id
+            raise ValueError(f"edges must be integer node ids, got dtype {e.dtype}")
+        e = e.astype(np.intp, copy=False)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -86,9 +88,6 @@ class EdgeGraph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self._csr.indices, minlength=self.n)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(np.any((self.edges[:, 0] == min(i, j)) & (self.edges[:, 1] == max(i, j))))
 
 
 BFS_BLOCK = 512  # sources per pass of the multi-source BFS, one bit each
@@ -196,8 +195,13 @@ def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
 
 
 def hop_distances(g: EdgeGraph, sources) -> np.ndarray:
-    """Hop counts from each source as a (k, n) int array; -1 = unreachable."""
-    sources = np.asarray(sources, dtype=np.intp)
+    """Hop counts from each source, in the given order, as a (k, n) int
+    array; -1 = unreachable. A source may repeat; a float id or a boolean
+    mask is rejected, not read as ids."""
+    sources = np.asarray(sources)
+    if sources.size and not np.issubdtype(sources.dtype, np.integer):
+        raise ValueError(f"sources must be integer node ids, got dtype {sources.dtype}")
+    sources = sources.astype(np.intp, copy=False)
     bad = sources[(sources < 0) | (sources >= g.n)]
     if bad.size:
         raise ValueError(f"source {bad[0]} out of range for n={g.n}")

@@ -60,15 +60,6 @@ def corner_beacons(dep: Deployment) -> BeaconSet:
     return BeaconSet(tuple(ids), dep.positions[ids].copy())
 
 
-class PositionSolverError(RuntimeError):
-    """Least-squares descent did not converge; carries the best iterate."""
-
-    def __init__(self, message, best, objective):
-        super().__init__(message)
-        self.best = best
-        self.objective = objective
-
-
 MAX_SOLVER_ITERATIONS = 80
 
 
@@ -128,35 +119,6 @@ def _solve(beacons: BeaconSet, pairs, ratios):
     return point[best], obj[best], converged[best]
 
 
-def estimate_position(beacons: BeaconSet, ratios) -> tuple[float, float, float]:
-    """Least-squares position from beacon-pair hop ratios.
-
-    ratios maps beacon-index pairs (i, j), i < j, to hop ratios
-    h(s, B_i) / h(s, B_j). Minimises the sum of squared Apollonius
-    residuals, each normalised by (1 + r^2), by the batched Gauss-Newton
-    solver error_pattern uses (analytic Jacobian, starts at the beacon
-    centroid plus four quadrant offsets), called on one vector. Raises
-    PositionSolverError (carrying the best iterate) if no start
-    converges within MAX_SOLVER_ITERATIONS iterations.
-    """
-    pairs = sorted(ratios)
-    if not pairs:
-        raise ValueError("no beacon-pair ratios given")
-    k = beacons.n_beacons
-    for i, j in pairs:
-        if not (0 <= i < j < k):
-            raise ValueError(f"bad beacon pair ({i}, {j}) for {k} beacons")
-        if not (ratios[(i, j)] > 0 and math.isfinite(ratios[(i, j)])):
-            raise ValueError(f"ratio for pair ({i}, {j}) must be finite and > 0")
-    point, obj, ok = _solve(beacons, pairs, [[ratios[p] for p in pairs]])
-    x, y = float(point[0, 0]), float(point[0, 1])
-    if not ok[0]:
-        raise PositionSolverError(
-            f"no start converged within {MAX_SOLVER_ITERATIONS} iterations",
-            best=(x, y), objective=float(obj[0]))
-    return x, y, float(obj[0])
-
-
 @dataclass
 class NodeEstimate:
     node: int
@@ -174,9 +136,6 @@ class ErrorPattern:
     records: list
     mean_error: float
     interior_mean_error: float
-
-    def errors(self) -> np.ndarray:
-        return np.array([r.error for r in self.records])
 
 
 def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,

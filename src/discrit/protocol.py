@@ -68,9 +68,6 @@ class ProtocolTrace:
     rounds: int = 0
     messages: int = 0
 
-    def final_thresholds(self) -> np.ndarray:
-        return self.thresholds[-1]
-
 
 def _check_round_invariants(prev, new, initial_set, kmax, mode):
     changed = new != prev

@@ -54,10 +54,10 @@ class SelfOrgParams:
         # q = 1 is allowed: every slot collides and the capacity is zero
         if not (0 < self.q <= 1):
             raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if not (self.slots >= 1):
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
-        if not (self.h_max >= 1):
-            raise ValueError(f"h_max must be >= 1, got {self.h_max}")
+        for name in ("slots", "h_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.a is not None and not (0 < self.a < math.inf):
             raise ValueError(f"a must be > 0 and finite, got {self.a}")
 
@@ -104,23 +104,14 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
     return float(min(max((p.alpha0 * p.p_t / p.sigma2 / x) ** (1 / p.eta), d_lo), d_hi))
 
 
-def _h_hop_topologies(hops: np.ndarray, h_min: int, h_max: int) -> list:
-    """T_h_min .. T_h_max of a connected graph from one pass over its hop
-    matrix: the row-major pairs h_min to h_max hops apart, stable-sorted by hop."""
-    i, j = np.nonzero(np.triu((hops >= h_min) & (hops <= h_max), 1))
+def _h_hop_topologies(hops: np.ndarray, h_max: int) -> list:
+    """T_1 .. T_h_max of a connected graph from one pass over its hop
+    matrix: the row-major pairs at most h_max hops apart, stable-sorted by hop."""
+    i, j = np.nonzero(np.triu(hops <= h_max, 1))
     order = np.argsort(hops[i, j], kind="stable")
     i, j = i[order], j[order]
-    cuts = np.searchsorted(hops[i, j], np.arange(h_min, h_max + 2))
+    cuts = np.searchsorted(hops[i, j], np.arange(1, h_max + 2))
     return [EdgeGraph(len(hops), np.column_stack((i[a:b], j[a:b]))) for a, b in zip(cuts, cuts[1:])]
-
-
-def build_h_hop_topology(g: EdgeGraph, h: int) -> EdgeGraph:
-    """Graph joining exactly the pairs at hop distance h on g."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    if not is_connected(g):
-        raise ValueError("base graph must be connected")
-    return _h_hop_topologies(hop_matrix(g), h, h)[0]
 
 
 def _aloha_links(topology: EdgeGraph, p: SelfOrgParams, seed) -> list:
@@ -171,20 +162,6 @@ def _credit(dep: Deployment, links: list, p: SelfOrgParams) -> float:
     return total / p.slots
 
 
-def simulate_transport_capacity(dep: Deployment, g_base: EdgeGraph, h: int,
-                                p: SelfOrgParams, seed: int) -> float:
-    """Simulated capacity of the h-hop topology of g_base (bit-meters/sec).
-
-    g_base must be connected. Nodes without an h-hop neighbour sit out
-    of contention. The draws come from the child of SeedSequence(seed)
-    that find_h_opt gives h, so both return the same psi(h).
-    """
-    topology = build_h_hop_topology(g_base, h)
-    if not topology.num_edges:
-        raise ValueError(f"every node is isolated in the {h}-hop topology")
-    return _credit(dep, _aloha_links(topology, p, np.random.SeedSequence(seed).spawn(h)[h - 1]), p)
-
-
 @dataclass
 class PsiRow:
     h: int
@@ -213,7 +190,7 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
         raise ValueError(f"graph has {g_base.n} nodes, deployment has {dep.n}")
     if not is_connected(g_base):
         raise ValueError("base graph must be connected")
-    topologies = _h_hop_topologies(hop_matrix(g_base), 1, p.h_max)
+    topologies = _h_hop_topologies(hop_matrix(g_base), p.h_max)
     rows = []
     # sched_getaffinity exists only on Linux.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -21,7 +21,6 @@ from discrit.discretize import RhoStats, _pair_sample
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, pair_distances
 from discrit.graphs import EdgeGraph, hop_matrix
 from discrit import localize
-from discrit.localize import PositionSolverError
 from discrit.protocol import (
     InvariantViolation, ProtocolTrace, _check_round_invariants, run_discrit,
     run_range_algorithm,
@@ -525,11 +524,11 @@ def edge_format_cases():
     cases = []
     for label, dep in edge_format_deployments():
         g, trace = run_range_algorithm(dep)
-        cases.append((label, dep, g, distance_matrix(dep) <= trace.final_thresholds()[:, None]))
+        cases.append((label, dep, g, distance_matrix(dep) <= trace.thresholds[-1][:, None]))
     dep = edge_format_deployments()[0][1]
     weights = hello_seed0_weights()
     g, trace = run_discrit(weights)
-    cases.append(("hello-seed0-weights", dep, g, dense(weights).T >= trace.final_thresholds()[:, None]))
+    cases.append(("hello-seed0-weights", dep, g, dense(weights).T >= trace.thresholds[-1][:, None]))
     return cases
 
 
@@ -674,17 +673,10 @@ def _reference_gauss_newton(start, foci_i, foci_j, norm, r2, scale):
 
 def reference_estimate_position(beacons, ratios):
     """The per-vector solver ``localize._solve`` replaced: numeric-Jacobian
-    Gauss-Newton with ``lstsq`` steps, one start after another. Same API as
-    ``estimate_position``; the differential oracle for the batched solver."""
+    Gauss-Newton with ``lstsq`` steps, one start after another, on ratios
+    {(i, j): h_i / h_j}. Returns (x, y, objective, converged) of the best
+    start; the differential oracle for the batched solver."""
     pairs = sorted(ratios)
-    if not pairs:
-        raise ValueError("no beacon-pair ratios given")
-    k = beacons.n_beacons
-    for i, j in pairs:
-        if not (0 <= i < j < k):
-            raise ValueError(f"bad beacon pair ({i}, {j}) for {k} beacons")
-        if not (ratios[(i, j)] > 0 and math.isfinite(ratios[(i, j)])):
-            raise ValueError(f"ratio for pair ({i}, {j}) must be finite and > 0")
     rvals = np.array([ratios[p] for p in pairs], dtype=np.float64)
     r2 = rvals * rvals
     norm = 1.0 + r2
@@ -702,11 +694,7 @@ def reference_estimate_position(beacons, ratios):
         if best is None or obj < best[1]:
             best = (point, obj, ok)
     point, obj, ok = best
-    if not ok:
-        raise PositionSolverError(
-            f"no start converged within {localize.MAX_SOLVER_ITERATIONS} iterations",
-            best=(float(point[0]), float(point[1])), objective=obj)
-    return float(point[0]), float(point[1]), obj
+    return float(point[0]), float(point[1]), obj, ok
 
 @pytest.fixture
 def unit_region():

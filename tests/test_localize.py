@@ -15,8 +15,7 @@ from discrit.graphs import (
 )
 from discrit import localize
 from discrit.localize import (
-    BeaconSet, PositionSolverError, _residuals, _solve, corner_beacons, error_pattern,
-    estimate_position, save_error_pattern_csv,
+    BeaconSet, _residuals, _solve, corner_beacons, error_pattern, save_error_pattern_csv,
 )
 from discrit.protocol import run_discrit
 
@@ -29,6 +28,13 @@ def square_beacons(side=1000.0):
 def exact_ratios(beacons, point):
     d = np.sqrt(((beacons.coords - np.asarray(point)) ** 2).sum(axis=1))
     return {(i, j): d[i] / d[j] for i, j in beacons.pairs()}
+
+
+def solve_one(beacons, ratios):
+    """_solve on the one vector of ratios {(i, j): h_i / h_j}: (x, y, objective, converged)."""
+    pairs = sorted(ratios)
+    point, obj, ok = _solve(beacons, pairs, [[ratios[p] for p in pairs]])
+    return float(point[0, 0]), float(point[0, 1]), float(obj[0]), bool(ok[0])
 
 
 def test_beacon_set_validation():
@@ -106,7 +112,8 @@ def test_residuals_match_expanded_curve(xi, yi, xj, yj, x, y, r):
 def test_estimate_exact_ratios_recovers_position():
     beacons = square_beacons(1000.0)
     for point in [(300.0, 420.0), (711.0, 137.0), (500.0, 500.0)]:
-        x, y, obj = estimate_position(beacons, exact_ratios(beacons, point))
+        x, y, obj, ok = solve_one(beacons, exact_ratios(beacons, point))
+        assert ok
         assert math.hypot(x - point[0], y - point[1]) <= 1e-6 * 1000.0
         assert obj <= 1e-9
 
@@ -114,30 +121,21 @@ def test_estimate_exact_ratios_recovers_position():
 def test_estimate_all_ratios_one_gives_center():
     beacons = square_beacons(1000.0)
     ratios = {p: 1.0 for p in beacons.pairs()}
-    x, y, _ = estimate_position(beacons, ratios)
-    assert (x, y) == pytest.approx((500.0, 500.0), abs=1e-6)
+    x, y, _, ok = solve_one(beacons, ratios)
+    assert ok and (x, y) == pytest.approx((500.0, 500.0), abs=1e-6)
 
 
 def test_estimate_translation_equivariance():
     beacons = square_beacons(1000.0)
     point = (321.0, 654.0)
     ratios = exact_ratios(beacons, point)
-    x0, y0, _ = estimate_position(beacons, ratios)
+    x0, y0, _, ok0 = solve_one(beacons, ratios)
     shift = np.array([173.25, -58.5])
     moved = BeaconSet(beacons.ids, beacons.coords + shift)
-    x1, y1, _ = estimate_position(moved, ratios)
+    x1, y1, _, ok1 = solve_one(moved, ratios)
+    assert ok0 and ok1
     assert abs(x1 - (x0 + shift[0])) <= 1e-9 * 1000
     assert abs(y1 - (y0 + shift[1])) <= 1e-9 * 1000
-
-
-def test_estimate_input_validation():
-    beacons = square_beacons()
-    with pytest.raises(ValueError):
-        estimate_position(beacons, {})
-    with pytest.raises(ValueError):
-        estimate_position(beacons, {(0, 5): 1.0})
-    with pytest.raises(ValueError):
-        estimate_position(beacons, {(0, 1): -2.0})
 
 
 def test_corner_beacons():
@@ -197,13 +195,10 @@ def test_error_pattern_solves_each_ratio_vector_once(monkeypatch):
 
     shared_stalls = {}
     for r in pattern.records:
-        ratios = dict(zip(beacons.pairs(), vectors[r.node]))
-        try:
-            expected = estimate_position(beacons, ratios)[:2], True
-        except PositionSolverError as exc:
-            expected = exc.best, False
+        x, y, _, ok = solve_one(beacons, dict(zip(beacons.pairs(), vectors[r.node])))
+        if not ok:
             shared_stalls[vectors[r.node]] = shared_stalls.get(vectors[r.node], 0) + 1
-        assert ((r.x_est, r.y_est), r.converged) == expected
+        assert (r.x_est, r.y_est, r.converged) == (x, y, ok)
     assert max(shared_stalls.values()) >= 2
 
 
@@ -245,10 +240,7 @@ def test_solve_matches_reference_solver(label, sample, max_flag_changes):
     points, _, converged = _solve(beacons, pairs, vectors)
     flag_changes = 0
     for v in sample_rows(vectors, sample):
-        try:
-            ref, ref_ok = reference_estimate_position(beacons, dict(zip(pairs, vectors[v].tolist())))[:2], True
-        except PositionSolverError as exc:
-            ref, ref_ok = exc.best, False
+        *ref, _, ref_ok = reference_estimate_position(beacons, dict(zip(pairs, vectors[v].tolist())))
         assert math.hypot(*(points[v] - ref)) <= 1e-4
         flag_changes += bool(converged[v]) != ref_ok
     assert flag_changes <= max_flag_changes

@@ -24,13 +24,13 @@ def test_two_nodes_converges_immediately():
     g, trace = run_range_algorithm(dep)
     assert trace.iterations == 0
     assert edge_set(g) == {(0, 1)}
-    assert trace.final_thresholds().tolist() == [5.0, 5.0]
+    assert trace.thresholds[-1].tolist() == [5.0, 5.0]
 
 
 def test_collinear_013_hand_trace():
     dep = line_deployment([0.0, 1.0, 3.0], side=10.0)
     g, trace = run_range_algorithm(dep)
-    assert trace.final_thresholds().tolist() == [2.0, 2.0, 2.0]
+    assert trace.thresholds[-1].tolist() == [2.0, 2.0, 2.0]
     assert edge_set(g) == {(0, 1), (1, 2)}
     _, g1 = degree1_radius(dep)
     assert edge_set(g) == edge_set(g1)
@@ -65,7 +65,7 @@ def test_trace_final_snapshots_identical_and_fixed_point():
     assert np.array_equal(trace.thresholds[-1], trace.thresholds[-2])
     # one extra forced round changes nothing: replay the update by hand
     d = distance_matrix(dep)
-    thr = trace.final_thresholds()
+    thr = trace.thresholds[-1]
     member = d <= thr[:, None]
     replay = np.where(member, thr[:, None], -np.inf).max(axis=0)
     assert np.array_equal(np.maximum(replay, thr), thr)
@@ -152,7 +152,7 @@ def test_discrit_two_nodes_bidirectional():
     # weight-mode thresholds never increase
     stacked = np.stack(trace.thresholds)
     assert (np.diff(stacked, axis=0) <= 0).all()
-    assert trace.final_thresholds().tolist() == [0.4, 0.4]
+    assert trace.thresholds[-1].tolist() == [0.4, 0.4]
 
 
 def test_discrit_matches_range_algorithm_on_monotone_weights():

@@ -15,8 +15,7 @@ from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
     MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _aloha_links, _credit, _h_hop_topologies,
-    aloha_contention_constant, build_h_hop_topology, find_h_opt, optimal_hop_length,
-    simulate_transport_capacity, theoretical_psi,
+    aloha_contention_constant, find_h_opt, optimal_hop_length, theoretical_psi,
 )
 
 P = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
@@ -32,6 +31,20 @@ def test_params_validation():
         SelfOrgParams(alpha0=0, p_t=1, sigma2=1, eta=2, w=1, q=0.5)
     with pytest.raises(ValueError):
         SelfOrgParams(alpha0=1, p_t=1, sigma2=1, eta=2, w=1, q=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slots", 100.5), ("slots", True), ("h_max", 2.5), ("h_max", True), ("h_max", np.float64(2.0))])
+def test_params_reject_non_integer_counts(field, value):
+    # These used to construct and then fail in range() or the list product
+    # with a bare TypeError; True ran as 1.
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        SelfOrgParams(**{field: value})
+
+
+def test_params_accept_numpy_integer_counts():
+    p = SelfOrgParams(slots=np.int64(300), h_max=np.int32(2))
+    assert (p.slots, p.h_max) == (300, 2)
 
 
 def test_psi_vanishes_at_extremes():
@@ -77,18 +90,12 @@ def test_optimal_hop_length_clips_to_the_interval():
 def test_h_hop_topology_examples():
     dep = generate_deployment("uniform-iid", 80, Region(1000, 1000), 1)
     _, cgg = critical_radius(dep)
-    t1 = build_h_hop_topology(cgg, 1)
+    [t1] = _h_hop_topologies(hop_matrix(cgg), 1)
     assert edge_set(t1) == edge_set(cgg)
 
-    g = path_graph(5)
-    t2 = build_h_hop_topology(g, 2)
-    assert edge_set(t2) == {(0, 2), (1, 3), (2, 4)}
-    beyond = build_h_hop_topology(g, 7)
-    assert edge_set(beyond) == set()
-    with pytest.raises(ValueError):
-        build_h_hop_topology(g, 0)
-    with pytest.raises(ValueError):
-        build_h_hop_topology(EdgeGraph(4, frozenset([(0, 1)])), 1)
+    t = _h_hop_topologies(hop_matrix(path_graph(5)), 7)
+    assert edge_set(t[1]) == {(0, 2), (1, 3), (2, 4)}
+    assert edge_set(t[6]) == set()
 
 
 def test_h_hop_topologies_partition_pairs():
@@ -97,8 +104,7 @@ def test_h_hop_topologies_partition_pairs():
     diam = graph_diameter(cgg)
     seen = set()
     total = 0
-    for h in range(1, diam + 1):
-        th = build_h_hop_topology(cgg, h)
+    for th in _h_hop_topologies(hop_matrix(cgg), diam):
         assert not (edge_set(th) & seen)
         seen |= edge_set(th)
         total += th.num_edges
@@ -116,8 +122,7 @@ def test_h_hop_topology_matches_reference():
         hops, dist = hop_matrix(cgg), distance_matrix(dep)
         _, rows = find_h_opt(dep, cgg, replace(P, h_max=h_max), seed=0)
         child_seeds = np.random.SeedSequence(0).spawn(h_max)
-        for h, row in zip(range(1, h_max + 1), rows):
-            topology = build_h_hop_topology(cgg, h)
+        for h, (row, topology) in enumerate(zip(rows, _h_hop_topologies(hops, h_max)), start=1):
             iu = np.nonzero(np.triu(hops == h, 1))
             assert np.array_equal(topology.edges, np.column_stack(iu)), (label, h)
             active, deg, flat, start = adj = reference_topology_adjacency(hops, h)
@@ -131,29 +136,17 @@ def test_h_hop_topology_matches_reference():
             assert row.psi_sim == reference_simulate_psi(dist, adj, P, child_seeds[h - 1]), (label, h)
         # At the diameter only the ends of the longest paths contend.
         h = graph_diameter(cgg)
-        for lo in (1, 3, h):
-            for k, topology in enumerate(_h_hop_topologies(hops, lo, h + 2), start=lo):
-                assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, lo, k)
-        psi = simulate_transport_capacity(dep, cgg, h, P, seed=5)
+        topologies = _h_hop_topologies(hops, h + 2)
+        for k, topology in enumerate(topologies, start=1):
+            assert np.array_equal(topology.edges, np.argwhere(np.triu(hops == k, 1))), (label, k)
         child = np.random.SeedSequence(5).spawn(h)[h - 1]
+        psi = _credit(dep, _aloha_links(topologies[h - 1], P, child), P)
         assert psi == reference_simulate_psi(dist, reference_topology_adjacency(hops, h), P, child), label
     # Past the diameter T_h is empty and scores zero.
     dep = line_deployment([100.0, 200.0, 300.0], side=1000.0)
     _, rows = find_h_opt(dep, path_graph(3), replace(P, h_max=3), seed=0)
     assert [(r.n_edges, r.n_active) for r in rows] == [(2, 3), (1, 2), (0, 0)]
     assert rows[2].psi_sim == 0.0 and math.isnan(rows[2].mean_hop_len)
-
-
-def test_transport_capacity_matches_find_h_opt_rows():
-    # One seed per h: simulate_transport_capacity draws h from the same
-    # SeedSequence child as find_h_opt, so the two give the same psi(h).
-    dep = generate_deployment("uniform-iid", 200, Region(1000, 1000), 4)
-    cgg = critical_radius(dep)[1]
-    p = replace(P, h_max=5, slots=2000)
-    _, rows = find_h_opt(dep, cgg, p, seed=7)
-    for h in range(1, p.h_max + 1):
-        assert rows[h - 1].psi_sim > 0, h
-        assert simulate_transport_capacity(dep, cgg, h, p, seed=7) == rows[h - 1].psi_sim, h
 
 
 def test_aloha_raw_draws_match_reference_loop():
@@ -217,8 +210,6 @@ def test_disconnected_base_graph_rejected():
     _, g1 = degree1_radius(dep)
     with pytest.raises(ValueError, match="base graph must be connected"):
         find_h_opt(dep, g1, replace(P, h_max=2), seed=0)
-    with pytest.raises(ValueError, match="base graph must be connected"):
-        simulate_transport_capacity(dep, g1, 1, P, seed=0)
 
 
 def test_find_h_opt_rejects_node_count_mismatch():
@@ -234,27 +225,21 @@ def test_two_node_aloha_closed_form():
     g = path_graph(2)
     q, slots = 0.3, 100000
     params = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6,
-                           q=q, slots=slots)
+                           q=q, slots=slots, h_max=1)
     d = 100.0
     credit = d * params.w * math.log1p(params.alpha0 * params.p_t / (d ** params.eta * params.sigma2))
     p_success = 2 * q * (1 - q)
     expect = p_success * credit
     se = credit * math.sqrt(p_success * (1 - p_success) / slots)
-    psi = simulate_transport_capacity(dep, g, 1, params, seed=3)
+    psi = find_h_opt(dep, g, params, seed=3)[1][0].psi_sim
     assert abs(psi - expect) <= 3 * se
 
 
 def test_full_collisions_zero_capacity():
     dep = line_deployment([100.0, 200.0], side=1000.0)
     params = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6,
-                           q=1.0, slots=200)
-    assert simulate_transport_capacity(dep, path_graph(2), 1, params, seed=0) == 0.0
-
-
-def test_empty_topology_error():
-    dep = line_deployment([100.0, 200.0], side=1000.0)
-    with pytest.raises(ValueError):
-        simulate_transport_capacity(dep, path_graph(2), 5, P, seed=0)
+                           q=1.0, slots=200, h_max=1)
+    assert find_h_opt(dep, path_graph(2), params, seed=0)[1][0].psi_sim == 0.0
 
 
 def test_find_h_opt_hmax_one():
