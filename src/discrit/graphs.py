@@ -199,8 +199,9 @@ def hop_distances(g: EdgeGraph, sources) -> np.ndarray:
     array; -1 = unreachable. A source may repeat; a float id or a boolean
     mask is rejected, not read as ids."""
     sources = np.asarray(sources)
-    if sources.size and not np.issubdtype(sources.dtype, np.integer):
-        raise ValueError(f"sources must be integer node ids, got dtype {sources.dtype}")
+    if sources.ndim != 1 or sources.size and not np.issubdtype(sources.dtype, np.integer):
+        raise ValueError(f"sources must be a 1-D sequence of integer node ids, got {sources.dtype} "
+                         f"of shape {sources.shape}")
     sources = sources.astype(np.intp, copy=False)
     bad = sources[(sources < 0) | (sources >= g.n)]
     if bad.size:

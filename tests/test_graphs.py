@@ -223,8 +223,9 @@ def test_hop_distances_examples():
 def test_hop_distances_take_integer_ids_only():
     # A boolean mask used to be read as the ids [1, 0, 0, 0], and 2.7 as 2.
     g = path_graph(4)
-    for sources in ([True, False, False, False], [2.7], np.array([0.0, 1.0])):
-        with pytest.raises(ValueError, match="sources must be integer node ids"):
+    # A scalar or a 2-D array used to fail with a bare IndexError.
+    for sources in ([True, False, False, False], [2.7], np.array([0.0, 1.0]), 3, [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match="sources must be a 1-D sequence of integer node ids"):
             hop_distances(g, sources)
     # Given order and repeats are kept, numpy integers of any width accepted.
     assert hop_distances(g, np.array([3, 0, 3], dtype=np.uint8)).tolist() == [
