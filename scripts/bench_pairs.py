@@ -12,10 +12,13 @@ workload runs program seed FIRST_SEED + k on both sides; even pairs run
 the parent first, odd pairs the change first. Then one traced pair per
 workload runs (--trace 1, seed TRACE_SEED), the parent first for the
 first, third, ... workload of the plan and the change first for the
-others. Last, each side runs TRACE_SEED alone once per workload
-(--seconds 0, so one seed in a fresh worker process), in the traced
-pairs' order; its peak_rss_mb is that process's ru_maxrss, the
-single-seed memory figure that heap growth across seeds does not move.
+others. Last, each side runs TRACE_SEED alone three times per workload
+(--seconds 0, so one seed in a fresh worker process), the sides
+alternating which goes first, starting in the traced pairs' order; its
+peak_rss_mb is that process's ru_maxrss, the single-seed memory figure
+that heap growth across seeds does not move. One run per side is not
+enough: with the same code it reads either of two levels about 35 MB
+apart on range-n3000, so the record keeps every run and their median.
 The output holds every run's last-line result and host
 line, and per workload each end-to-end metric's median and quartiles
 per side, every run's value, and how many pairs the change won (ties
@@ -174,8 +177,10 @@ def main(argv=None) -> int:
                      f"neither). The traced pair per workload (--trace 1, seed {TRACE_SEED}; "
                      f"the parent first for the 1st, 3rd, ... workload listed, the change first "
                      f"for the others) is in `traced`, with every per-layer metric per side. "
-                     f"`single_seed` holds, per workload and side, one fresh-process run of "
-                     f"seed {TRACE_SEED} alone (--seconds 0) and its ru_maxrss in MB. "
+                     f"`single_seed` holds, per workload and side, three fresh-process runs "
+                     f"of seed {TRACE_SEED} alone (--seconds 0; the sides alternate which goes "
+                     f"first, starting in the traced pairs' order): every run's ru_maxrss in "
+                     f"MB and seed_s under `runs`, and the median ru_maxrss as `ru_maxrss_mb`. "
                      f"`tier1` holds each side's tier-1 test counts."),
             "change": args.note, "parent_commit": commits["parent"],
             "change_commit": commits["change"],
@@ -204,15 +209,19 @@ def main(argv=None) -> int:
                   f"seed_s {metric_value(run, 'seed_s')}", flush=True)
             write()
     for pos, (workload, _) in enumerate(plan):
-        for side in SIDES[::-1] if pos % 2 else SIDES:
-            run = bench_run(trees[side], workload, TRACE_SEED, 0, 0)
-            single.setdefault(workload, {})[side] = {
-                "ru_maxrss_mb": metric_value(run, "peak_rss_mb"),
-                "seed_s": metric_value(run, "seed_s"), "returncode": run["returncode"],
-                "host_line": run["host_line"], "stderr_tail": run["stderr_tail"]}
-            print(f"{workload} seed {TRACE_SEED} alone {side}: ru_maxrss "
-                  f"{single[workload][side]['ru_maxrss_mb']} MB", flush=True)
-            write()
+        for rep in range(3):
+            for side in SIDES[::-1] if (pos + rep) % 2 else SIDES:
+                run = bench_run(trees[side], workload, TRACE_SEED, 0, 0)
+                entry = single.setdefault(workload, {}).setdefault(side, {"runs": []})
+                entry["runs"].append({
+                    "ru_maxrss_mb": metric_value(run, "peak_rss_mb"),
+                    "seed_s": metric_value(run, "seed_s"), "returncode": run["returncode"],
+                    "host_line": run["host_line"], "stderr_tail": run["stderr_tail"]})
+                values = [r["ru_maxrss_mb"] for r in entry["runs"] if r["ru_maxrss_mb"] is not None]
+                entry["ru_maxrss_mb"] = statistics.median(values) if values else None
+                print(f"{workload} seed {TRACE_SEED} alone {side}: ru_maxrss "
+                      f"{entry['runs'][-1]['ru_maxrss_mb']} MB", flush=True)
+                write()
     return 0
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Deployment, distance_matrix, remap_pairs, save_csv, subset_ids
+from .geometry import Deployment, check_count, distance_matrix, remap_pairs, save_csv, subset_ids
 
 FADING_KINDS = ("deterministic", "rayleigh-power")
 
@@ -78,8 +78,7 @@ class ChannelParams:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.fading not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.fading!r}")
-        if isinstance(self.slots, bool) or not isinstance(self.slots, (int, np.integer)) or self.slots < 1:
-            raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
+        check_count("slots", self.slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +97,10 @@ class LinkWeightTable:
     p_hat: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.intp)
-        c, b = np.asarray(self.c, dtype=np.int64), np.asarray(self.b, dtype=np.int64)
+        ints = [np.asarray(a) for a in (self.pairs, self.c, self.b)]
+        if any(a.size and not np.issubdtype(a.dtype, np.integer) for a in ints):  # a float or bool is not a count
+            raise ValueError(f"pairs, c and b must be integers, got dtypes {[str(a.dtype) for a in ints]}")
+        pairs, c, b = (a.astype(t, copy=False) for a, t in zip(ints, (np.intp, np.int64, np.int64)))
         p = np.asarray(self.p_hat, dtype=np.float64)
         if p.ndim != 1 or c.shape != p.shape or pairs.shape != p.shape + (2,) or b.shape != (self.n,):
             raise ValueError("inconsistent table shapes")
@@ -292,10 +293,6 @@ class PowerHistograms:
     counts: list
     ring_width: float
 
-    @property
-    def annuli(self) -> int:
-        return len(self.masses)
-
 
 def square_annulus_index(dep: Deployment, annuli: int) -> np.ndarray:
     """Ring index per node: 0 = outermost ring, annuli-1 = central square."""
@@ -315,8 +312,7 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
     A sample is taken for each listening node in each slot with at least
     one transmitter, from the same slots as simulate_hello.
     """
-    if annuli < 1:
-        raise ValueError(f"annuli must be >= 1, got {annuli}")
+    check_count("annuli", annuli)
     ring = square_annulus_index(dep, annuli)
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
     # Drains _slots, whose helper thread ends with the generator.

@@ -124,7 +124,7 @@ class _SeedRun:
                 for scope, graph, *refs in scopes for name, ref in zip(("critical", "degree1"), refs)]
 
     def discretize(self):
-        st = rho_stats(self.dep, self.cgg, seed=self.seed, **self.doc.get("discretize", {}))
+        st = rho_stats(self.dep, self.cgg)
         self._save(save_rho_histogram_csv, st, "rho_hist.csv")
         summary_path = self.dir / "rho.csv"
         save_csv(summary_path, ["n", "pairs", "pairs_excluded", "mean_rho", "var_rho", "cv_rho"],

@@ -37,7 +37,7 @@ def _fields(cls) -> dict:
 
 
 # Keys and JSON types; a dict is a block. int is a JSON integer (not
-# 300.0, not true), float any number but a bool, float | None also null.
+# 300.0, not true), float any number but a bool.
 CONFIG_KEYS = {
     "output_dir": str,
     "seeds": list[int],
@@ -45,7 +45,7 @@ CONFIG_KEYS = {
     "channel": _fields(ChannelParams),
     "protocol": {"mode": str, "termination": str, "timeout_rounds": int, "suppress": bool},
     "interior_margin": float,
-    "discretize": {"pair_sample": str | int},
+    "discretize": {},
     "selforg": _fields(SelfOrgParams),
     "localize": {"graph": str},
 }
@@ -56,7 +56,6 @@ _RULES = {
     "seeds": (lambda s: s and min(s) >= 0 and len(set(s)) == len(s), "distinct seeds >= 0"),
     "interior_margin": (lambda m: 0 <= m < 0.5, "0 <= interior_margin < 0.5"),
     "protocol/mode": (lambda v: v in ("distance", "discrit"), "'distance' or 'discrit'"),
-    "discretize/pair_sample": (lambda v: v == "all" or type(v) is int and v > 0, "'all' or a count > 0"),
     "localize/graph": (lambda v: v in ("critical", "protocol"), "'critical' or 'protocol'"),
 }
 
@@ -73,8 +72,6 @@ def _is(value, typ) -> bool:
     """Whether a JSON value has a CONFIG_KEYS type."""
     if typing.get_origin(typ) is list:
         return type(value) is list and all(_is(v, typing.get_args(typ)[0]) for v in value)
-    if typing.get_args(typ):  # a union
-        return any(_is(value, t) for t in typing.get_args(typ))
     return type(value) is typ or (typ is float and type(value) is int)
 
 

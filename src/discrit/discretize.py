@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .geometry import Deployment, Region, generate_deployment, pair_distances, save_csv
+from .geometry import Deployment, Region, check_count, generate_deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, critical_radius, hop_matrix
 
 # Above this node count all-pairs rho is quadratic-cost; default to a
@@ -73,10 +73,7 @@ def rho_stats(dep: Deployment, g: EdgeGraph, pair_sample="all", seed: int = 0) -
             samples.append(pair_distances(dep, rows, cols)[ok] / h[ok])
             excluded += int(np.count_nonzero(upper & (h < 0)))
     else:
-        count = int(pair_sample)
-        if count < 1:
-            raise ValueError(f"pair_sample must be >= 1, got {pair_sample}")
-        i, j = _pair_sample(n, count, seed)
+        i, j = _pair_sample(n, check_count("pair_sample", pair_sample), seed)
         h = hops[i, j]
         ok = h > 0
         samples.append(pair_distances(dep, i[ok], j[ok]) / h[ok])
@@ -126,9 +123,7 @@ def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,
     seed. Pair sampling kicks in above PAIR_SAMPLE_THRESHOLD nodes.
     """
     rows = []
-    for n in n_list:
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+    for n in n_list:  # generate_deployment checks n
         variances, cvs = [], []
         for k in range(seeds_per_n):
             seed = base_seed + k

@@ -98,10 +98,17 @@ def remap_pairs(pairs: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray,
     return remap[pairs[keep]], keep
 
 
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int. Raises ValueError unless it is an integer >= minimum:
+    a numpy integer counts, a bool or a float does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_deployment(kind: str, n: int) -> None:
     """Raise ValueError unless generate_deployment can draw n nodes of this kind."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_count("n", n, 2)
     if kind not in DEPLOYMENT_KINDS:
         raise ValueError(f"unknown deployment kind {kind!r}")
     if kind == "grid" and math.isqrt(n) ** 2 != n:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,15 +24,7 @@ from scipy.spatial import cKDTree
 from .geometry import Deployment, distance_matrix, pair_distances, remap_pairs, save_csv, subset_ids
 
 
-class _Marker:
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-UNBOUNDED = _Marker("UNBOUNDED")
+UNBOUNDED = math.inf  # graph_diameter of a disconnected graph
 
 
 @dataclass(frozen=True, eq=False)

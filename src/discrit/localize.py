@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Deployment, interior_nodes, save_csv
+from .geometry import Deployment, check_count, interior_nodes, save_csv
 from .graphs import EdgeGraph, hop_distances, is_connected
 
 
@@ -26,7 +26,7 @@ class BeaconSet:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.float64)
-        ids = tuple(int(i) for i in self.ids)
+        ids = tuple(check_count("beacon id", i, 0) for i in self.ids)
         if len(ids) < 4:
             raise ValueError(f"need at least 4 beacons, got {len(ids)}")
         if coords.shape != (len(ids), 2) or not np.isfinite(coords).all():

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkWeightTable
-from .geometry import Deployment, pair_distances, save_csv
+from .geometry import Deployment, check_count, pair_distances, save_csv
 from .graphs import EdgeGraph, degree1_radius
 
 
@@ -87,8 +87,7 @@ def check_termination(termination="centralized", timeout_rounds=1, suppress=True
     """Raise ValueError unless a run with these options (run_* defaults) can end."""
     if termination not in ("centralized", "distributed"):
         raise ValueError(f"unknown termination mode {termination!r}")
-    if not (timeout_rounds >= 1):
-        raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
+    check_count("timeout_rounds", timeout_rounds)
     if termination == "distributed" and not suppress:
         raise ValueError("distributed termination needs suppression, or messages never cease")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .geometry import Deployment, pair_distances, save_csv
+from .geometry import Deployment, check_count, pair_distances, save_csv
 from .graphs import EdgeGraph, hop_matrix, is_connected
 
 
@@ -26,10 +26,9 @@ from .graphs import EdgeGraph, hop_matrix, is_connected
 class SelfOrgParams:
     """Capacity-model parameters.
 
-    a is the contention constant of the theoretical curve; leave it None
-    to calibrate from the Aloha success rate of the simulated MAC
-    (n_active * q * (1-q)^(n_active-1) * w). q is the per-slot channel
-    attempt probability of each saturated node and w the bandwidth (Hz).
+    q is the per-slot channel attempt probability of each saturated node
+    and w the bandwidth (Hz); the contention constant of the theoretical
+    curve is calibrated from them (aloha_contention_constant).
     find_h_opt scores the h-hop topologies for h = 1..h_max.
 
     The defaults are pinned for n=1000 in a 1000 m x 1000 m region: the
@@ -44,7 +43,6 @@ class SelfOrgParams:
     w: float = 1e6
     q: float = 0.001
     slots: int = 20000
-    a: float | None = None
     h_max: int = 8
 
     def __post_init__(self):
@@ -55,11 +53,7 @@ class SelfOrgParams:
         if not (0 < self.q <= 1):
             raise ValueError(f"q must be in (0, 1], got {self.q}")
         for name in ("slots", "h_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.a is not None and not (0 < self.a < math.inf):
-            raise ValueError(f"a must be > 0 and finite, got {self.a}")
+            check_count(name, getattr(self, name))
 
 
 # Attempt indicators drawn per chunk of MAC slots. The chunk size sets
@@ -80,14 +74,11 @@ def link_rate(d, p: SelfOrgParams):
     return np.log1p(p.alpha0 * p.p_t / (np.asarray(d, dtype=np.float64) ** p.eta * p.sigma2))
 
 
-def theoretical_psi(d: float, p: SelfOrgParams, a: float | None = None) -> float:
-    """Transport capacity (bit-meters/sec) of hops of length d."""
+def theoretical_psi(d: float, p: SelfOrgParams, a: float) -> float:
+    """Transport capacity (bit-meters/sec) of hops of length d under contention constant a."""
     if not (0 < d < math.inf):  # written so that NaN fails
         raise ValueError(f"hop length must be > 0 and finite, got {d}")
-    aval = a if a is not None else p.a
-    if aval is None:
-        raise ValueError("no contention constant: set params.a or pass a")
-    return float(aval * d * link_rate(d, p))
+    return float(a * d * link_rate(d, p))
 
 
 def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
@@ -178,8 +169,8 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
 
     Ties break toward smaller h. Each row carries the mean hop length of
     T_h and the theoretical capacity there, with the contention constant
-    calibrated from the number of contending nodes unless params.a is
-    set. Empty topologies score zero.
+    calibrated from the number of contending nodes. Empty topologies
+    score zero.
 
     The MAC draws run on min(CPUs, h_max) worker threads, one h per
     thread at a time, each h from its own child of SeedSequence(seed) and
@@ -203,9 +194,9 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
                 continue
             n_active = int(np.count_nonzero(topology.degrees()))
             mean_len = float(pair_distances(dep, topology.edges[:, 0], topology.edges[:, 1]).mean())
-            a = p.a if p.a is not None else aloha_contention_constant(n_active, p.q, p.w)
+            a = aloha_contention_constant(n_active, p.q, p.w)
             rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
-                               _credit(dep, links, p), theoretical_psi(mean_len, p, a=a)))
+                               _credit(dep, links, p), theoretical_psi(mean_len, p, a)))
     psi = [r.psi_sim for r in rows]
     h_opt = 1 + int(np.argmax(psi))
     return h_opt, rows

@@ -374,8 +374,8 @@ def test_predict_p_limits_where_d_eta_leaves_the_float_range(fading):
     lambda: build_gg(line_deployment([0.0, 1.0]), math.nan),
     lambda: predict_p(math.nan, EmpiricalCDF([0.1, 0.4]), PARAMS),
     lambda: predict_p(math.nan, EmpiricalCDF([0.1, 0.4]), replace(PARAMS, **RAYLEIGH)),
-    lambda: theoretical_psi(math.nan, SelfOrgParams(a=1.0)),
-    lambda: theoretical_psi(math.inf, SelfOrgParams(a=1.0)),
+    lambda: theoretical_psi(math.nan, SelfOrgParams(), 1.0),
+    lambda: theoretical_psi(math.inf, SelfOrgParams(), 1.0),
     lambda: homogeneity_check(generate_deployment("grid", 100, Region(1, 1), 0), 0.1, math.nan, 0.05),
     lambda: EmpiricalCDF([1.0, math.nan]),
 ], ids=["build_gg-nan", "predict_p-nan", "predict_p-rayleigh-nan", "theoretical_psi-nan",
@@ -426,6 +426,14 @@ def test_power_histogram_masses_normalised():
     with pytest.raises(ValueError):
         silent = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.0, slots=10)
         received_power_histogram(dep, silent, 4, annuli=5)
+
+
+@pytest.mark.parametrize("annuli", [2.5, True, 0])
+def test_power_histogram_annuli_must_be_a_count(annuli):
+    # 2.5 used to fail in range() with a bare TypeError, and True ran one annulus.
+    dep = generate_deployment("uniform-iid", 50, Region(1000, 1000), 4)
+    with pytest.raises(ValueError, match="annuli must be an integer >= 1"):
+        received_power_histogram(dep, SMALL, 4, annuli=annuli)
 
 
 def test_power_histogram_inner_annuli_overlap():
@@ -493,6 +501,20 @@ def test_link_weight_table_validation():
     assert t.pairs.tolist() == [[0, 1], [1, 0]] and t.p_hat.tolist() == [0.5, 0.5]
     empty = LinkWeightTable.from_counts(np.zeros((3, 3), np.int64), [2, 0, 5])
     assert empty.pairs.shape == (0, 2) and empty.c.size == empty.p_hat.size == 0
+
+
+@pytest.mark.parametrize("rows", [
+    dict(pairs=[[0.5, 1.7]], c=[2], b=[3, 0, 0]),
+    dict(pairs=[[True, False]], c=[1], b=[3, 3, 3]),
+    dict(pairs=[[0, 1]], c=[2.9], b=[3, 0, 0]),
+    dict(pairs=[[0, 1]], c=[True], b=[3, 0, 0]),
+    dict(pairs=[[0, 1]], c=[2], b=[3.0, 0.0, 0.0]),
+], ids=["pairs-float", "pairs-bool", "c-float", "c-bool", "b-float"])
+def test_link_weight_table_rejects_float_and_bool_ids_and_counts(rows):
+    # [[0.5, 1.7]] used to be stored as the pair (0, 1), c = 2.9 as 2, and
+    # [[True, False]] as the pair (1, 0).
+    with pytest.raises(ValueError, match="must be integers"):
+        LinkWeightTable(n=3, p_hat=[0.9], **rows)
 
 
 def test_link_weight_table_rejects_nan_weights():

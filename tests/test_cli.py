@@ -223,6 +223,15 @@ def test_config_rejected_before_any_stage(tmp_path, extra):
     assert not list(tmp_path.glob("out/seed-*"))
 
 
+@pytest.mark.parametrize("extra", [{"selforg": {"a": 1.0}}, {"discretize": {"pair_sample": 100}}],
+                         ids=["selforg-a", "discretize-pair_sample"])
+def test_removed_options_are_unknown_keys(tmp_path, extra):
+    # psi's contention constant is always calibrated, and rho always takes every pair.
+    with pytest.raises(ConfigError, match="unknown key"):
+        run_pipeline(minimal_config(tmp_path, **extra))
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_blocks_are_param_fields(tmp_path):
     # A block is the keyword set of its constructor, so a key the config
     # accepts always reaches the params, and no field lacks a key; every
@@ -244,7 +253,7 @@ def test_param_defaults_match_readme():
         fading="deterministic", fading_mean=1.0, slots=5000)
     assert SelfOrgParams() == SelfOrgParams(
         alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
-        slots=20000, a=None, h_max=8)
+        slots=20000, h_max=8)
     with pytest.raises(ValueError, match="h_max must be"):
         SelfOrgParams(h_max=0)
 

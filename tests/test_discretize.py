@@ -101,6 +101,14 @@ def test_pair_sampling_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("sample", [2.5, True, 0, "some"])
+def test_pair_sample_must_be_a_count(sample):
+    # 2.5 used to sample 2 pairs and True 1.
+    dep = line_deployment([2.0, 7.0, 9.0], side=10.0)
+    with pytest.raises(ValueError, match="pair_sample must be an integer >= 1"):
+        rho_stats(dep, critical_radius(dep)[1], pair_sample=sample)
+
+
 def test_trend_spread_shrinks_across_eight_sizes():
     # 8 node counts between 100 and 5000, 2 seeds each: variance and CV
     # each decrease with at most one inversion.

@@ -81,6 +81,14 @@ def test_generate_errors(unit_region):
         generate_deployment("poisson", 10, unit_region, seed=0)
 
 
+def test_generate_counts_are_integers(unit_region):
+    # A float n used to fail inside the generator with a bare TypeError.
+    for n in (100.0, np.float64(4.0), True):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            generate_deployment("uniform-iid", n, unit_region, seed=0)
+    assert generate_deployment("uniform-iid", np.int64(5), unit_region, seed=0).n == 5
+
+
 def test_distance_matrix_matches_scalar(km_region):
     dep = generate_deployment("uniform-iid", 40, km_region, seed=3)
     d = distance_matrix(dep)

@@ -46,6 +46,16 @@ def test_beacon_set_validation():
         BeaconSet((0, 1, 2, 3), np.array([(0, 0), (1, 0), (0, 1), (0, 1)]))
 
 
+def test_beacon_ids_must_be_integers():
+    # (0.5, 1.2, 2, 3) used to be stored as the ids (0, 1, 2, 3), and True as id 1.
+    coords = square_beacons().coords
+    for ids in ((0.5, 1.2, 2, 3), (0, True, 2, 3)):
+        with pytest.raises(ValueError, match="beacon id must be an integer"):
+            BeaconSet(ids, coords)
+    ids = BeaconSet(tuple(np.arange(4)), coords).ids
+    assert ids == (0, 1, 2, 3) and all(type(i) is int for i in ids)
+
+
 def test_beacon_set_rejects_non_finite_coords():
     # NaN used to pass every check and reach the solver, where the SVD failed
     with pytest.raises(ValueError, match="finite"):

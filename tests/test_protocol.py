@@ -145,6 +145,14 @@ def test_distributed_requires_suppression():
         run_range_algorithm(dep, termination="distributed", timeout_rounds=0)
 
 
+@pytest.mark.parametrize("timeout_rounds", [1.5, True, 0])
+def test_timeout_rounds_must_be_a_count(timeout_rounds):
+    # 1.5 used to run as 2, and True as 1.
+    dep = line_deployment([2.0, 7.0], side=10.0)
+    with pytest.raises(ValueError, match="timeout_rounds must be an integer >= 1"):
+        run_range_algorithm(dep, termination="distributed", timeout_rounds=timeout_rounds)
+
+
 def test_discrit_two_nodes_bidirectional():
     w = weights_from_dense([[0.0, 0.4], [0.6, 0.0]])
     g, trace = run_discrit(w)

@@ -19,7 +19,7 @@ from discrit.selforg import (
 )
 
 P = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
-                  slots=4000, a=1.0)
+                  slots=4000)
 
 
 def path_graph(n):
@@ -48,14 +48,12 @@ def test_params_accept_numpy_integer_counts():
 
 
 def test_psi_vanishes_at_extremes():
-    assert theoretical_psi(1e-12, P) < 1e-6
-    assert theoretical_psi(1e12, P) < 1e-6
+    assert theoretical_psi(1e-12, P, 1.0) < 1e-6
+    assert theoretical_psi(1e12, P, 1.0) < 1e-6
     with pytest.raises(ValueError):
-        theoretical_psi(0.0, P)
-    no_a = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=1e-6, eta=2.0, w=1e6, q=0.5)
-    with pytest.raises(ValueError):
-        theoretical_psi(10.0, no_a)
-    assert theoretical_psi(10.0, no_a, a=2.0) > 0
+        theoretical_psi(0.0, P, 1.0)
+    other = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=1e-6, eta=2.0, w=1e6, q=0.5)
+    assert theoretical_psi(10.0, other, 2.0) > 0
 
 
 def test_optimal_hop_length_matches_brute_force():
