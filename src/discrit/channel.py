@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Deployment, check_count, distance_matrix, remap_pairs, save_csv, subset_ids
 
@@ -296,6 +295,7 @@ class PowerHistograms:
 
 def square_annulus_index(dep: Deployment, annuli: int) -> np.ndarray:
     """Ring index per node: 0 = outermost ring, annuli-1 = central square."""
+    check_count("annuli", annuli)
     w, h = dep.region.width, dep.region.height
     if w != h:
         raise ValueError("annulus partitioning needs a square region")
@@ -312,8 +312,7 @@ def received_power_histogram(dep: Deployment, params: ChannelParams, seed: int,
     A sample is taken for each listening node in each slot with at least
     one transmitter, from the same slots as simulate_hello.
     """
-    check_count("annuli", annuli)
-    ring = square_annulus_index(dep, annuli)
+    ring = square_annulus_index(dep, annuli)  # checks annuli
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
     # Drains _slots, whose helper thread ends with the generator.
     heard = [(ring[rx], total) for _, rx, sig, total in _slots(gain, rng, params) if sig is not None]
@@ -357,8 +356,8 @@ def homogeneity_check(dep: Deployment, r: float, eps: float,
     xs = np.arange(r, w - r + grid_step * 1e-9, grid_step)
     ys = np.arange(r, h - r + grid_step * 1e-9, grid_step)
     pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])  # x-major
-    tree = cKDTree(dep.positions)
-    counts = tree.query_ball_point(pts, r, return_length=True)
+    from scipy.spatial import cKDTree  # here: no pipeline stage pays its import
+    counts = cKDTree(dep.positions).query_ball_point(pts, r, return_length=True)
     density = counts / (math.pi * r * r)
     expected = dep.n / dep.region.area
     ratios = density / expected

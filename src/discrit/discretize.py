@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .geometry import Deployment, Region, check_count, generate_deployment, pair_distances, save_csv
 from .graphs import EdgeGraph, critical_radius, hop_matrix
@@ -107,6 +106,7 @@ class TrendRow:
 
 
 def _half_width(values) -> float | None:
+    from scipy.special import stdtrit  # here: no pipeline stage pays its import
     k = len(values)
     if k < 2:
         return None
@@ -122,6 +122,7 @@ def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,
     half-widths use the Student t quantile and are None for a single
     seed. Pair sampling kicks in above PAIR_SAMPLE_THRESHOLD nodes.
     """
+    check_count("seeds_per_n", seeds_per_n)
     rows = []
     for n in n_list:  # generate_deployment checks n
         variances, cvs = [], []

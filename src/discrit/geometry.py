@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every run draws, so load it with the program
 
 DEPLOYMENT_KINDS = ("uniform-iid", "randomised-lattice", "grid")
 DISTANCE_BLOCK_ROWS = 32  # rows of distance_matrix filled per pair_distances call

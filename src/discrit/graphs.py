@@ -1,7 +1,8 @@
 """Centralised graph constructions and oracles.
 
 Geometric graphs use the closed-ball rule: edge (i, j) present iff
-d_ij <= r; a KD-tree proposes pairs, and their exact lengths decide.
+d_ij <= r; a cell list proposes pairs, and their exact lengths decide.
+Numpy only: no scipy module is on the pipeline's import path.
 The hop layer (``hop_matrix``, cached per graph, and ``hop_distances``)
 is a bit-parallel multi-source BFS giving read-only arrays of the smallest
 signed type holding -n, -1 for unreachable pairs; ``graph_diameter`` is ``UNBOUNDED`` if disconnected.
@@ -12,19 +13,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .geometry import Deployment, distance_matrix, pair_distances, remap_pairs, save_csv, subset_ids
 
 
 UNBOUNDED = math.inf  # graph_diameter of a disconnected graph
+# Compressed sparse rows: node i's neighbours are indices[indptr[i]:indptr[i + 1]], ascending.
+Adjacency = namedtuple("Adjacency", "indptr indices")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +69,11 @@ class EdgeGraph:
         return len(self.edges)
 
     @cached_property
-    def _csr(self) -> csr_matrix:
-        """Symmetric adjacency; column indices are sorted within each row."""
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(rows.size, dtype=np.int8)
-        return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+    def _csr(self) -> Adjacency:
+        """Symmetric adjacency, from both directions' keys in sorted order."""
+        i, j = self.edges.T
+        rows, cols = np.divmod(np.sort(np.concatenate([i * self.n + j, j * self.n + i])), self.n)
+        return Adjacency(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))]), cols)
 
     @cached_property
     def _hops(self) -> np.ndarray:
@@ -123,12 +123,27 @@ def _bfs_hops(g: EdgeGraph, sources=None) -> np.ndarray:
 
 
 def _pairs_within(dep: Deployment, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) with d_ij <= r, and their lengths. A KD-tree proposes
-    pairs at r·(1 + 1e-9), as its squared-distance test can drop a pair of
-    length exactly r; pair_distances, with distance_matrix's bits, decides."""
-    pairs = cKDTree(dep.positions).query_pairs(r * (1 + 1e-9), output_type="ndarray")
-    d = pair_distances(dep, pairs[:, 0], pairs[:, 1])
-    return pairs[d <= r], d[d <= r]
+    """Pairs (i, j), i < j, with d_ij <= r, and their lengths. A cell list
+    proposes each pair once: a node meets the later nodes of its cell and
+    those of 4 neighbour cells. A cell's side is r·(1 + 1e-9), so rounding
+    cannot put a pair of length r two cells apart, and at least 2⁻²⁰ of the
+    region, for small int64 keys and r = 0. pair_distances decides."""
+    side = max(r * (1 + 1e-9), max(dep.region.width, dep.region.height) * 2.0 ** -20)
+    cx, cy = (dep.positions // side).astype(np.int64).T
+    rows = int(cy.max()) + 2  # row rows-1 is always empty, so no stencil key wraps onto a node
+    cell = cx * rows + cy
+    order = np.argsort(cell, kind="stable")
+    key = cell[order]
+    # candidate range [lo, hi) in sorted order, per node and stencil cell
+    stencil = (1, rows - 1, rows, rows + 1)  # (0, 1), (1, -1), (1, 0), (1, 1)
+    lo = np.concatenate([np.arange(1, dep.n + 1)] + [np.searchsorted(key, key + o) for o in stencil])
+    count = np.concatenate([np.searchsorted(key, key + o, "right") for o in (0,) + stencil]) - lo
+    a = np.repeat(np.tile(np.arange(dep.n), 5), count)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    i, j = order[a], order[b]
+    d = pair_distances(dep, i, j)
+    keep = d <= r
+    return np.column_stack((np.minimum(i, j), np.maximum(i, j)))[keep], d[keep]
 
 
 def build_gg(dep: Deployment, r: float) -> EdgeGraph:
@@ -138,16 +153,29 @@ def build_gg(dep: Deployment, r: float) -> EdgeGraph:
     return EdgeGraph(dep.n, _pairs_within(dep, r)[0], radius=float(r))
 
 
+def _component_labels(g: EdgeGraph) -> np.ndarray:
+    """Each node's component, labelled by its lowest node id: each round
+    hooks the label of every edge end to the smaller of the two labels,
+    then jumps pointers until each label is its own label."""
+    label = np.arange(g.n)
+    i, j = g.edges.T
+    while not np.array_equal(li := label[i], lj := label[j]):
+        np.minimum.at(label, li, lj)
+        np.minimum.at(label, lj, li)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
+
+
 def is_connected(g: EdgeGraph) -> bool:
-    return connected_components(g._csr, directed=False, return_labels=False) == 1
+    return not _component_labels(g).any()
 
 
 def giant_component(g: EdgeGraph) -> np.ndarray:
     """Ascending ids of the largest connected component; of equally large
     ones, the component holding the lowest node id."""
-    # labels are numbered in order of each component's lowest node id,
-    # and argmax returns the first maximum
-    labels = connected_components(g._csr, directed=False)[1]
+    # labels are lowest ids, and argmax returns the first maximum
+    labels = _component_labels(g)
     return np.flatnonzero(labels == np.bincount(labels).argmax())
 
 
@@ -177,12 +205,14 @@ def degree1_radius(dep: Deployment) -> tuple[float, EdgeGraph]:
     """Largest nearest-neighbour distance and its geometric graph.
 
     The returned graph has minimum degree >= 1 but need not be connected.
-    The KD-tree's nearest neighbours bound r1 from above.
+    The cell list's pairs within r, with r doubled from the mean spacing
+    until every node has one, hold each node's nearest neighbour.
     """
-    nearest = cKDTree(dep.positions).query(dep.positions, k=2)[1][:, 1]
-    pairs, d = _pairs_within(dep, float(pair_distances(dep, np.arange(dep.n), nearest).max()))
-    near = np.full(dep.n, np.inf)
-    np.minimum.at(near, pairs.ravel(), np.repeat(d, 2))
+    r, near = math.sqrt(dep.region.area / dep.n) / 2, np.full(dep.n, np.inf)
+    while np.isinf(near).any():
+        r *= 2
+        pairs, d = _pairs_within(dep, r)
+        np.minimum.at(near, pairs.ravel(), np.repeat(d, 2))
     r1 = float(near.max())
     return r1, EdgeGraph(dep.n, pairs[d <= r1], radius=r1)
 

@@ -153,7 +153,7 @@ def error_pattern(dep: Deployment, beacons: BeaconSet, g: EdgeGraph,
         raise ValueError("graph must be connected for hop ratios")
     interior = np.zeros(dep.n, dtype=bool)
     interior[interior_nodes(dep, margin)] = True
-    nodes = np.setdiff1d(np.arange(dep.n), beacons.ids)
+    nodes = np.setdiff1d(np.arange(dep.n), beacons.ids, assume_unique=True)  # ids are distinct
     hops = hop_distances(g, beacons.ids)[:, nodes]
     pairs = beacons.pairs()
     pi, pj = np.array(pairs).T

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .geometry import Deployment, check_count, pair_distances, save_csv
 from .graphs import EdgeGraph, hop_matrix, is_connected
@@ -91,6 +90,7 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
         raise ValueError(f"need 0 < d_lo < d_hi, got ({d_lo}, {d_hi})")
     if p.eta <= 1:
         return float(d_hi)
+    from scipy.special import lambertw  # here: no pipeline stage pays its import
     x = math.expm1(p.eta + lambertw(-p.eta * math.exp(-p.eta)).real)
     return float(min(max((p.alpha0 * p.p_t / p.sigma2 / x) ** (1 / p.eta), d_lo), d_hi))
 

@@ -222,9 +222,11 @@ def reference_degree1_radius(dep):
 
 
 def reference_hops(g, sources=None):
-    """``graphs._bfs_hops`` as it was: one scipy Dijkstra per source, with
-    unreachable pairs (inf) set to -1."""
-    dist = shortest_path(g._csr, method="D", directed=False, unweighted=True, indices=sources)
+    """``graphs._bfs_hops`` as it was: one scipy Dijkstra per source, over
+    scipy's own adjacency of ``g.edges``, with unreachable pairs (inf) set
+    to -1."""
+    adj = coo_matrix((np.ones(g.num_edges), tuple(g.edges.T)), shape=(g.n, g.n))
+    dist = shortest_path(adj.tocsr(), method="D", directed=False, unweighted=True, indices=sources)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
 
@@ -566,6 +568,29 @@ def kdtree_degree1(pos, box=None):
     connected = connected_components(adj, directed=False)[0] == 1
     edges = set(map(tuple, pairs.tolist()))
     return r1, edges, bool(connected)
+
+
+def kdtree_pairs_within(dep, r):
+    """``graphs._pairs_within`` as it was: a KD-tree proposes the pairs
+    within r·(1 + 1e-9), and ``pair_distances`` keeps those of length <= r.
+    Returns the kept pairs' keys i*n+j (i < j) in ascending order and
+    their lengths in that order."""
+    pairs = cKDTree(dep.positions).query_pairs(r * (1 + 1e-9), output_type="ndarray").reshape(-1, 2)
+    d = pair_distances(dep, pairs[:, 0], pairs[:, 1])
+    keys = pairs.min(axis=1) * dep.n + pairs.max(axis=1)
+    order = np.argsort(keys[d <= r])
+    return keys[d <= r][order], d[d <= r][order]
+
+
+def scipy_components(g):
+    """(count, giant) by scipy's ``connected_components`` over its own
+    adjacency of ``g.edges``; giant is the largest component's ascending
+    ids, and of equally large ones the component holding the lowest id."""
+    adj = coo_matrix((np.ones(g.num_edges), tuple(g.edges.T)), shape=(g.n, g.n))
+    count, labels = connected_components(adj, directed=False)
+    sizes = np.bincount(labels)[labels]
+    lowest = np.flatnonzero(sizes == sizes.max())[0]
+    return count, np.flatnonzero(labels == labels[lowest])
 
 
 def degree1_connected_share(n, seeds, torus=False):

@@ -402,6 +402,14 @@ def test_annulus_index(unit_region):
         square_annulus_index(Deployment(pos * [1, 0.5], "uniform-iid", Region(1.0, 0.5), 0), 5)
 
 
+@pytest.mark.parametrize("annuli", [0, 2.5, True])
+def test_annulus_index_annuli_must_be_a_count(annuli, unit_region):
+    # 0 used to raise ZeroDivisionError, 2.5 gave float ring indices and True one ring.
+    dep = Deployment(np.array([[0.01, 0.5], [0.5, 0.5]]), "uniform-iid", unit_region, 0)
+    with pytest.raises(ValueError, match="annuli must be an integer >= 1"):
+        square_annulus_index(dep, annuli)
+
+
 def test_power_histogram_point_mass():
     dep = line_deployment([100.0, 200.0], side=1000.0)
     params = ChannelParams(p_t=0.05, eta=2.0, sigma2=1e-12, beta=1.0, alpha=0.5, slots=400)

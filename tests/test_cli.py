@@ -273,6 +273,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False False False"
 
 
+def test_pipeline_leaves_scipy_spatial_sparse_special_unloaded(tmp_path):
+    # Their imports took most of a CLI run's set-up; a pipeline stage that
+    # pulled one in would move that cost into the first seed.
+    src = str(Path(discrit.__file__).resolve().parent.parent)
+    doc = {"output_dir": str(tmp_path / "out"), "seeds": [0],
+           "deployment": {"kind": "uniform-iid", "n": 100, "region": {"width": 400, "height": 400}},
+           "channel": {"slots": 300}, "protocol": {}, "discretize": {},
+           "selforg": {"h_max": 2, "slots": 500}, "localize": {}}
+    code = ("import json, sys, discrit.cli\n"
+            "loaded = lambda: print(*(m in sys.modules for m in ('scipy.spatial', 'scipy.sparse', 'scipy.special')))\n"
+            "loaded()\n"
+            "discrit.cli.run_pipeline(json.loads(sys.argv[1]))\n"
+            "loaded()")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(doc)], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["False False False"] * 2
+    files = {e["file"] for e in json.loads((tmp_path / "out" / "manifest.json").read_text())["artifacts"]}
+    assert {"disparity.csv", "seed-0/hello.weights.csv", "seed-0/protocol.edges.csv", "seed-0/rho.csv",
+            "seed-0/psi.csv", "seed-0/localization.csv"} <= files  # every stage ran
+
+
 def test_cli_main_deploy_and_flags(tmp_path, capsys):
     out = tmp_path / "cli-out"
     rc = main(["deploy", "--out", str(out), "--n", "9", "--kind", "grid", "--seed", "3"])

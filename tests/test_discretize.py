@@ -126,6 +126,13 @@ def test_trend_single_seed_undefined_ci():
     assert rows[0].ci_var is None and rows[0].ci_cv is None
 
 
+@pytest.mark.parametrize("seeds", [0, 2.5, True])
+def test_trend_seeds_per_n_must_be_a_count(seeds):
+    # 0 used to give a row of NaN, 2.5 a bare TypeError and True one seed.
+    with pytest.raises(ValueError, match="seeds_per_n must be an integer >= 1"):
+        rho_trend(Region(1000, 1000), [100], seeds_per_n=seeds)
+
+
 def test_trend_deterministic_and_csv(tmp_path):
     rows_a = rho_trend(Region(1000, 1000), [60, 120], seeds_per_n=2, base_seed=5)
     rows_b = rho_trend(Region(1000, 1000), [60, 120], seeds_per_n=2, base_seed=5)

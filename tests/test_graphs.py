@@ -1,18 +1,21 @@
+import functools
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from conftest import (
     edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_build_gg,
     reference_critical_radius, reference_degree1_radius, reference_disparity, reference_edges,
     reference_hops, reference_induced_subgraph, reference_save_graph, set_graph,
+    kdtree_pairs_within, scipy_components,
 )
-from discrit.geometry import Region, distance_matrix, generate_deployment, interior_nodes
+from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
-    EdgeGraph, UNBOUNDED, build_gg, critical_radius,
+    EdgeGraph, UNBOUNDED, _pairs_within, build_gg, critical_radius,
     degree1_radius, disparity, giant_component, graph_diameter, hop_distances, hop_matrix,
     induced_subgraph, is_connected, load_graph, save_graph,
 )
@@ -172,6 +175,76 @@ def test_kdtree_graphs_match_dense_reference():
         assert np.array_equal(g1.edges, g_ref.edges)
         for r in (0.0, r1, 1.5 * r1):
             assert np.array_equal(build_gg(dep, r).edges, reference_build_gg(dep, r).edges)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_cases():
+    """{label: (deployment, radius)} for the cell-list differential test."""
+    km = Region(1000, 1000)
+    cases = {}
+    for n, seed in ((1000, 0), (3000, 1)):
+        dep = generate_deployment("uniform-iid", n, km, seed)
+        r1, rc = degree1_radius(dep)[0], critical_radius(dep)[0]
+        cases.update({f"uniform-{n}-{name}": (dep, r) for name, r in (("r1", r1), ("rc", rc), ("2rc", 2 * rc))})
+    grid = generate_deployment("grid", 1024, km, 0)
+    cases.update({"grid-spacing": (grid, 1000 / 32), "grid-rc": (grid, critical_radius(grid)[0])})
+    base = generate_deployment("uniform-iid", 500, km, 2)
+    repeated = Deployment(np.concatenate([base.positions, base.positions[::10]]), "uniform-iid", km, 2)
+    cases.update({"repeated-r0": (repeated, 0.0), "repeated-40": (repeated, 40.0), "uniform-r0": (base, 0.0)})
+    xs = np.random.default_rng(3).random(400) * 1000
+    vertical = Deployment(np.column_stack([np.full(400, 250.0), xs]), "uniform-iid", km, 0)
+    cases.update({"collinear-x": (line_deployment(xs), 5.0), "collinear-x-wide": (line_deployment(xs), 60.0),
+                  "collinear-y": (vertical, 5.0)})
+    return cases
+
+
+@pytest.mark.parametrize("label", [f"uniform-{n}-{r}" for n in (1000, 3000) for r in ("r1", "rc", "2rc")] + [
+    "grid-spacing", "grid-rc", "repeated-r0", "repeated-40", "uniform-r0", "collinear-x", "collinear-x-wide",
+    "collinear-y"])
+def test_cell_list_pairs_match_kdtree(label):
+    # The cell list proposes a different superset than the KD-tree did;
+    # pair_distances decides both, so pairs and lengths must be equal.
+    dep, r = _pair_cases()[label]
+    pairs, d = _pairs_within(dep, r)
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    keys = pairs[:, 0] * dep.n + pairs[:, 1]
+    order = np.argsort(keys)
+    ref_keys, ref_d = kdtree_pairs_within(dep, r)
+    assert np.array_equal(keys[order], ref_keys)
+    assert np.array_equal(d[order], ref_d)
+    if label == "grid-spacing":  # exact ties: every lattice neighbour pair is in
+        assert keys.size == 2 * 32 * 31
+
+
+def _component_cases():
+    km = Region(1000, 1000)
+    dep = generate_deployment("uniform-iid", 1000, km, 0)
+    rc = critical_radius(dep)[0]
+    graphs = [build_gg(dep, f * rc) for f in (0.0, 0.5, 0.8, 0.95, 1.0)]
+    graphs += [build_gg(generate_deployment("grid", 1024, km, 0), 1000 / 32)]
+    rng = np.random.default_rng(4)
+    for e in (50, 150, 400):
+        pairs = rng.integers(0, 300, (e, 2))
+        graphs.append(EdgeGraph(300, pairs[pairs[:, 0] != pairs[:, 1]]))
+    # two components of 3 nodes each with interleaved ids: the lower id's wins
+    graphs += [EdgeGraph(8, [(2, 4), (4, 6), (3, 5), (5, 7)]), EdgeGraph(8, [(1, 3), (3, 5), (2, 4), (4, 6)])]
+    return graphs
+
+
+def test_csr_matches_scipy():
+    for g in _component_cases() + [EdgeGraph(4, [])]:
+        sym = np.concatenate([g.edges, g.edges[:, ::-1]])
+        ref = csr_matrix((np.ones(len(sym)), tuple(sym.T)), shape=(g.n, g.n))
+        ref.sort_indices()
+        assert np.array_equal(g._csr.indptr, ref.indptr)
+        assert np.array_equal(g._csr.indices, ref.indices)
+
+
+def test_components_match_scipy():
+    for g in _component_cases():
+        count, giant = scipy_components(g)
+        assert is_connected(g) == (count == 1)
+        assert np.array_equal(giant_component(g), giant)
 
 
 def test_giant_component():
