@@ -2,7 +2,7 @@
 
 Geometric graphs use the closed-ball rule: edge (i, j) present iff
 d_ij <= r; a cell list proposes pairs, and their exact lengths decide.
-Numpy only: no scipy module is on the pipeline's import path.
+Numpy only, so that no scipy subpackage is on the pipeline's import path.
 The hop layer (``hop_matrix``, cached per graph, and ``hop_distances``)
 is a bit-parallel multi-source BFS giving read-only arrays of the smallest
 signed type holding -n, -1 for unreachable pairs; ``graph_diameter`` is ``UNBOUNDED`` if disconnected.

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from conftest import (
-    edge_format_cases, edge_set, kdtree_degree1, line_deployment, reference_build_gg,
-    reference_critical_radius, reference_degree1_radius, reference_disparity, reference_edges,
-    reference_hops, reference_induced_subgraph, reference_save_graph, set_graph,
-    kdtree_pairs_within, scipy_components,
+    edge_format_cases, edge_set, kdtree_degree1, kdtree_pairs_within, line_deployment,
+    reference_build_gg, reference_critical_radius, reference_degree1_radius, reference_disparity,
+    reference_edges, reference_hops, reference_induced_subgraph, reference_save_graph,
+    scipy_components, set_graph,
 )
 from discrit.geometry import Deployment, Region, distance_matrix, generate_deployment, interior_nodes
 from discrit.graphs import (
