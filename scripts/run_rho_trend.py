@@ -8,12 +8,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from discrit.discretize import (
-    PAIR_SAMPLE_THRESHOLD, DEFAULT_PAIR_SAMPLE, rho_stats, rho_trend,
-    save_rho_histogram_csv, save_trend_csv,
-)
-from discrit.geometry import Region, generate_deployment
-from discrit.graphs import critical_radius
+from discrit.discretize import rho_trend, save_rho_histogram_csv, save_trend_csv
+from discrit.geometry import Region
 
 
 def main():
@@ -33,13 +29,7 @@ def main():
     save_trend_csv(rows, outdir / "trend.csv")
     for row in rows:
         print(f"n={row.n}: var={row.var_rho:.3f} cv={row.cv_rho:.4f}")
-
-    for n in args.sizes:
-        dep = generate_deployment("uniform-iid", n, region, args.base_seed)
-        _, cgg = critical_radius(dep)
-        sample = "all" if n <= PAIR_SAMPLE_THRESHOLD else DEFAULT_PAIR_SAMPLE
-        st = rho_stats(dep, cgg, pair_sample=sample, seed=args.base_seed)
-        save_rho_histogram_csv(st, outdir / f"rho_hist_n{n}.csv")
+        save_rho_histogram_csv(row.base_stats, outdir / f"rho_hist_n{row.n}.csv")
     print(f"wrote {outdir}/trend.csv and per-n histograms")
 
 

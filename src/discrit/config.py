@@ -43,7 +43,7 @@ CONFIG_KEYS = {
     "seeds": list[int],
     "deployment": {"kind": str, "n": int, "region": _fields(Region)},
     "channel": _fields(ChannelParams),
-    "protocol": {"mode": str, "termination": str, "timeout_rounds": int, "suppress": bool},
+    "protocol": {"mode": str, "termination": str, "timeout_rounds": int},
     "interior_margin": float,
     "discretize": {},
     "selforg": _fields(SelfOrgParams),

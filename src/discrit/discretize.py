@@ -103,6 +103,7 @@ class TrendRow:
     cv_rho: float
     ci_var: float | None
     ci_cv: float | None
+    base_stats: RhoStats  # the base seed's, for its histogram
 
 
 def _half_width(values) -> float | None:
@@ -114,24 +115,24 @@ def _half_width(values) -> float | None:
     return float(stdtrit(k - 1, 0.975) * sd / math.sqrt(k))
 
 
-def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,
-              kind: str = "uniform-iid") -> list:
+def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0) -> list:
     """Mean rho variance and CV against n, on the exact critical graph.
 
-    Each n uses seeds base_seed .. base_seed + seeds_per_n - 1; 95%
-    half-widths use the Student t quantile and are None for a single
+    Each n uses uniform-iid seeds base_seed .. base_seed + seeds_per_n - 1;
+    95% half-widths use the Student t quantile and are None for a single
     seed. Pair sampling kicks in above PAIR_SAMPLE_THRESHOLD nodes.
     """
     check_count("seeds_per_n", seeds_per_n)
     rows = []
     for n in n_list:  # generate_deployment checks n
         variances, cvs = [], []
-        for k in range(seeds_per_n):
-            seed = base_seed + k
-            dep = generate_deployment(kind, n, region, seed)
+        for seed in range(base_seed, base_seed + seeds_per_n):
+            dep = generate_deployment("uniform-iid", n, region, seed)
             _, cgg = critical_radius(dep)
             sample = "all" if n <= PAIR_SAMPLE_THRESHOLD else DEFAULT_PAIR_SAMPLE
             st = rho_stats(dep, cgg, pair_sample=sample, seed=seed)
+            if seed == base_seed:
+                base = st
             variances.append(st.variance)
             cvs.append(st.cv)
         rows.append(TrendRow(
@@ -140,6 +141,7 @@ def rho_trend(region: Region, n_list, seeds_per_n: int, base_seed: int = 0,
             cv_rho=float(np.mean(cvs)),
             ci_var=_half_width(variances),
             ci_cv=_half_width(cvs),
+            base_stats=base,
         ))
     return rows
 

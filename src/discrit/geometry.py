@@ -205,7 +205,7 @@ def deployment_to_json(dep: Deployment) -> dict:
         "kind": dep.kind,
         "seed": int(dep.seed),
         "region": {"width": dep.region.width, "height": dep.region.height},
-        "positions": [[float(x), float(y)] for x, y in dep.positions],
+        "positions": dep.positions.tolist(),
     }
 
 

@@ -83,21 +83,19 @@ def _check_round_invariants(prev, new, initial_set, kmax, mode):
         raise InvariantViolation(f"{mode}: absorbed threshold changed")
 
 
-def check_termination(termination="centralized", timeout_rounds=1, suppress=True) -> None:
+def check_termination(termination="centralized", timeout_rounds=1) -> None:
     """Raise ValueError unless a run with these options (run_* defaults) can end."""
     if termination not in ("centralized", "distributed"):
         raise ValueError(f"unknown termination mode {termination!r}")
     check_count("timeout_rounds", timeout_rounds)
-    if termination == "distributed" and not suppress:
-        raise ValueError("distributed termination needs suppression, or messages never cease")
 
 
-def _run_minmax(n, src, dst, key, mode, natural, termination, timeout_rounds, suppress):
+def _run_minmax(n, src, dst, key, mode, natural, termination, timeout_rounds):
     """Engine core. Holder ``src[k]`` keeps ``key[k]`` for neighbour
     ``dst[k]``, lower = closer. No pair is a self pair, every node holds
     one, and every pair with key <= kmax is listed (module docstring).
     ``natural`` maps engine keys back to the mode's reported units."""
-    check_termination(termination, timeout_rounds, suppress)
+    check_termination(termination, timeout_rounds)
     thr = np.full(n, np.inf)
     np.minimum.at(thr, src, key)
     initial_set = set(thr.tolist())
@@ -143,14 +141,13 @@ def _run_minmax(n, src, dst, key, mode, natural, termination, timeout_rounds, su
             if np.all(quiet >= timeout_rounds):
                 break
 
-        sender = changed if suppress else np.ones(n, dtype=bool)
+        sender = changed  # after round 1 a node announces only a changed threshold
         thr = new_thr
 
     return EdgeGraph(n, np.column_stack([src[live], dst[live]])), trace
 
 
-def run_range_algorithm(dep: Deployment, *, termination="centralized",
-                        timeout_rounds=1, suppress=True):
+def run_range_algorithm(dep: Deployment, *, termination="centralized", timeout_rounds=1):
     """Distance-based construction of the degree-1 geometric graph.
 
     Ranges start at the nearest-neighbour distance and rise via max
@@ -161,11 +158,10 @@ def run_range_algorithm(dep: Deployment, *, termination="centralized",
     e = degree1_radius(dep)[1].edges
     src, dst = np.concatenate([e, e[:, ::-1]]).T
     return _run_minmax(dep.n, src, dst, pair_distances(dep, src, dst), "distance",
-                       lambda t: t.copy(), termination, timeout_rounds, suppress)
+                       lambda t: t.copy(), termination, timeout_rounds)
 
 
-def run_discrit(weights: LinkWeightTable, *, termination="centralized",
-                timeout_rounds=1, suppress=True):
+def run_discrit(weights: LinkWeightTable, *, termination="centralized", timeout_rounds=1):
     """Weight-based construction from Hello link-weight estimates.
 
     Node i holds incoming weights w[j, i]; its p-threshold starts at the
@@ -178,7 +174,7 @@ def run_discrit(weights: LinkWeightTable, *, termination="centralized",
         raise ValueError(f"node {int(dead[0])} has no incoming weight > 0; "
                          "cannot initialise its p-threshold")
     return _run_minmax(weights.n, src, dst, -weights.p_hat, "discrit", lambda t: -t,
-                       termination, timeout_rounds, suppress)
+                       termination, timeout_rounds)
 
 
 def trace_to_csv(trace: ProtocolTrace, path) -> None:

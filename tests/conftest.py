@@ -281,7 +281,7 @@ def reference_bidirectionalize(adjacency):
     return SetGraph(n, frozenset(edges))
 
 
-def reference_minmax(score, mode, natural, termination, timeout_rounds, suppress):
+def reference_minmax(score, mode, natural, termination, timeout_rounds):
     """``protocol._run_minmax`` as it was: dense (n, n) membership,
     delivery and candidate arrays rebuilt every round. ``score`` is an
     (n, n) key matrix, lower = closer.
@@ -292,12 +292,8 @@ def reference_minmax(score, mode, natural, termination, timeout_rounds, suppress
     """
     if termination not in ("centralized", "distributed"):
         raise ValueError(f"unknown termination mode {termination!r}")
-    if termination == "distributed":
-        if timeout_rounds < 1:
-            raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
-        if not suppress:
-            raise ValueError("distributed termination needs message suppression; "
-                             "without it messages never cease")
+    if termination == "distributed" and timeout_rounds < 1:
+        raise ValueError(f"timeout_rounds must be >= 1, got {timeout_rounds}")
     n = score.shape[0]
     s = np.array(score, dtype=np.float64)
     np.fill_diagonal(s, np.inf)
@@ -346,7 +342,7 @@ def reference_minmax(score, mode, natural, termination, timeout_rounds, suppress
             if np.all(quiet >= timeout_rounds):
                 break
 
-        sender = changed if suppress else np.ones(n, dtype=bool)
+        sender = changed  # after round 1 a node announces only a changed threshold
         thr = new_thr
 
     return EdgeGraph(n, np.argwhere(np.triu(member | member.T, 1))), trace

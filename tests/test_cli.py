@@ -209,7 +209,7 @@ def test_selforg_q_bound_matches_params(tmp_path):
     {"selforg": {"p_t": math.inf}},
 ], ids=["seed-float", "n-float", "slots-float", "h_max-float", "alpha-zero", "width-inf",
         "a-negative", "slots-bool", "grid-n5", "p_t-nan", "eta-nan", "a-nan", "margin-nan",
-        "distributed-unsuppressed", "seeds-dup", "p_t-inf", "eta-inf", "w-inf", "selforg-p_t-inf"])
+        "suppress-unknown-key", "seeds-dup", "p_t-inf", "eta-inf", "w-inf", "selforg-p_t-inf"])
 def test_config_rejected_before_any_stage(tmp_path, extra):
     # All but slots-bool once passed validation and then failed in a stage,
     # ran on a nonsense value, or (seeds-dup) ran a seed twice, after a seed
@@ -271,6 +271,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False False False"
+
+
+def test_package_root_imports_no_submodule():
+    # The root holds the docstring and __version__; every name lives in its module.
+    src = str(Path(discrit.__file__).resolve().parent.parent)
+    code = "import sys, discrit; print(sorted(m for m in sys.modules if m.startswith('discrit.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_pipeline_leaves_scipy_spatial_sparse_special_unloaded(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from conftest import edge_format_deployments, line_deployment, reference_rho_stats
-from discrit.discretize import RHO_BLOCK_ROWS, _half_width, rho_stats, rho_trend, save_trend_csv
+from discrit.discretize import (
+    DEFAULT_PAIR_SAMPLE, RHO_BLOCK_ROWS, _half_width, rho_stats, rho_trend, save_trend_csv,
+)
 from discrit.geometry import Region, generate_deployment
 from discrit.graphs import build_gg, critical_radius, degree1_radius, is_connected
 
@@ -144,6 +146,20 @@ def test_trend_deterministic_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,var_rho,cv_rho,ci_var,ci_cv"
     assert len(lines) == 3
+
+
+def test_trend_keeps_base_seed_stats():
+    # run_rho_trend.py writes each n's histogram from these; n = 2001
+    # takes the sampled branch, whose pair draw is seeded with base_seed.
+    rows = rho_trend(Region(1000, 1000), [60, 2001], seeds_per_n=2, base_seed=5)
+    for row, sample in zip(rows, ["all", DEFAULT_PAIR_SAMPLE]):
+        dep = generate_deployment("uniform-iid", row.n, Region(1000, 1000), 5)
+        want = rho_stats(dep, critical_radius(dep)[1], pair_sample=sample, seed=5)
+        got = row.base_stats
+        for name in ("samples", "hist_edges", "hist_masses"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (row.n, name)
+        for name in ("mean", "variance", "cv", "bin_width", "pairs_used", "pairs_excluded"):
+            assert getattr(got, name) == getattr(want, name), (row.n, name)
 
 
 def test_half_width_matches_t_ppf():

@@ -101,19 +101,9 @@ def test_iteration_growth_sublinear():
 
 def test_message_accounting_first_round():
     dep = generate_deployment("uniform-iid", 30, Region(1000, 1000), 1)
-    _, trace = run_range_algorithm(dep, suppress=False)
+    _, trace = run_range_algorithm(dep)
     assert trace.messages_per_round[0] == int(trace.degrees[0].sum())
     assert trace.messages == sum(trace.messages_per_round)
-
-
-def test_suppression_equivalence():
-    for seed in (0, 4, 8):
-        dep = generate_deployment("uniform-iid", 50, Region(1000, 1000), seed)
-        g_on, t_on = run_range_algorithm(dep, suppress=True)
-        g_off, t_off = run_range_algorithm(dep, suppress=False)
-        assert edge_set(g_on) == edge_set(g_off)
-        assert t_on.iterations == t_off.iterations
-        assert t_on.messages <= t_off.messages
 
 
 def test_distributed_termination_agrees():
@@ -137,10 +127,8 @@ def test_two_node_distributed_timeout_one():
     assert t_c.iterations == t_d.iterations == 0
 
 
-def test_distributed_requires_suppression():
+def test_distributed_rejects_timeout_zero():
     dep = line_deployment([2.0, 7.0], side=10.0)
-    with pytest.raises(ValueError):
-        run_range_algorithm(dep, termination="distributed", suppress=False)
     with pytest.raises(ValueError):
         run_range_algorithm(dep, termination="distributed", timeout_rounds=0)
 
@@ -211,16 +199,15 @@ def assert_same_run(got, want, label):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name, k)
 
 
-@pytest.mark.parametrize("termination, timeout_rounds, suppress", [
-    pytest.param("centralized", 1, True, id="centralized"),
-    pytest.param("centralized", 1, False, id="centralized-nosuppress"),
-    pytest.param("distributed", 1, True, id="distributed-timeout1"),
-    pytest.param("distributed", 2, True, id="distributed-timeout2"),
+@pytest.mark.parametrize("termination, timeout_rounds", [
+    pytest.param("centralized", 1, id="centralized"),
+    pytest.param("distributed", 1, id="distributed-timeout1"),
+    pytest.param("distributed", 2, id="distributed-timeout2"),
 ])
-def test_engine_matches_dense_reference(termination, timeout_rounds, suppress):
+def test_engine_matches_dense_reference(termination, timeout_rounds):
     # The candidate-pair engine against the dense engine it replaced:
     # every snapshot, message count and edge must be identical.
-    options = dict(termination=termination, timeout_rounds=timeout_rounds, suppress=suppress)
+    options = dict(termination=termination, timeout_rounds=timeout_rounds)
     deps = list(edge_format_deployments())
     deps += [("two-nodes", line_deployment([2.0, 7.0], side=10.0)),
              ("collinear-0156", line_deployment([0.0, 1.0, 5.0, 6.0], side=10.0))]
