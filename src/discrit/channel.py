@@ -17,16 +17,19 @@ total), so S > total / 2. Only a listener's strongest transmitter can
 hold that (tied ones hold at most half each), so it is the only one
 simulate_hello tests. In floating point a second one could pass only if
 beta were within rounding of 1 and sigma2 below that of the total.
+As total >= S, also S >= beta sigma2; in floats (a sum is at least each
+term, rounding is monotone) S >= beta sigma2 (1 - 8 (1 + beta) eps).
 
 simulate_hello has two kernels with the same counts. Rayleigh-power
 fading and beta < 1 run the slot loop, _slots, in two stages: a helper
 thread draws slot k+1 (transmit indicators, then fading coefficients,
 the seed's order) while the caller decodes slot k. Deterministic capture
-runs HELLO_BLOCK_SLOTS slots at a time: one matrix product gives every
-listener's total, a rank table its strongest transmitter. Two summation
-orders of n nonnegative terms differ by at most about n eps relative,
-so a decision that agrees at total (1 -+ HELLO_BAND n eps) is the slot
-loop's too; one that does not is retaken with the slot loop's own sum.
+runs HELLO_BLOCK_SLOTS slots at a time over the pairs above that bound:
+one matrix product gives every listener's total, a rank table its
+strongest candidate transmitter, and counts are kept per candidate.
+Two summation orders of n nonnegative terms differ by at most about n
+eps relative, so a decision that agrees at total (1 -+ HELLO_BAND n eps)
+is the slot loop's too; the others are retaken with the slot loop's sum.
 """
 
 from __future__ import annotations
@@ -176,39 +179,47 @@ HELLO_BLOCK_SLOTS = 64  # slots per block of deterministic capture
 HELLO_BAND = 4.0  # half-width of the rounding band around a block total, in n eps
 
 
-def _hello_blocks(gain: np.ndarray, rng, params: ChannelParams, c, b) -> None:
-    """Deterministic capture in blocks of slots (module docstring); adds
-    the decoded pairs to c and the broadcasts to b."""
-    n = gain.shape[0]
-    # rank[i, j]: transmitter i's place in listener j's gain order, strongest
-    # first and ties to the lower id, as argmax breaks them; order[j, k]: the
-    # k-th strongest at listener j. gain is symmetric, so its rows are sorted.
-    rank = np.empty((n, n), np.min_scalar_type(-n))
-    order = np.empty_like(rank)
-    for a in range(0, n, 256):
-        order[a:a + 256] = np.argsort(-gain[a:a + 256], axis=1, kind="stable")
-        np.put_along_axis(rank[:, a:a + 256].T, order[a:a + 256], np.arange(n), axis=1)
-    band = HELLO_BAND * n * np.finfo(np.float64).eps
-    cols = np.arange(n)
+def _hello_blocks(gain: np.ndarray, rng, params: ChannelParams) -> LinkWeightTable:
+    """Deterministic capture in blocks of slots over the candidate pairs
+    (module docstring); returns the table that the slot loop would."""
+    n, eps = gain.shape[0], np.finfo(np.float64).eps
+    # Candidates by listener j, strongest first and ties to the lower id, as
+    # argmax breaks them; rank[i, j] is transmitter i's place in j's list,
+    # and kmax, the longest list's length, marks a non-candidate.
+    i, j = np.nonzero(gain >= params.beta * params.sigma2 * (1 - 8 * (1 + params.beta) * eps))
+    o = np.lexsort((i, -gain[i, j], j))
+    i, j = i[o], j[o]
+    k_j = np.bincount(j, minlength=n)
+    kmax, first = int(k_j.max(initial=0)), np.cumsum(k_j) - k_j
+    rank = np.full((n, n), kmax, np.min_scalar_type(kmax))
+    rank[i, j] = np.arange(i.size) - first[j]
+    sig = np.append(gain[i, j] * (1.0 + params.beta), 0.0)  # the padding entry never decodes
+    b, counts = np.zeros(n, np.int64), np.zeros(sig.size, np.int64)  # counts per candidate
+    band = HELLO_BAND * n * eps
     for start in range(0, params.slots, HELLO_BLOCK_SLOTS):
         # The same stream as one rng.random(n) per slot.
         t = rng.random((min(HELLO_BLOCK_SLOTS, params.slots - start), n)) < params.alpha
         b += t.sum(axis=0)
         total = t.astype(np.float64) @ gain
-        listening = ~t & t.any(axis=1, keepdims=True)  # nobody hears an idle slot
-        best = np.zeros(t.shape, rank.dtype)  # rank of each listener's strongest transmitter
-        for s in np.flatnonzero(listening.any(axis=1)):
+        best = np.full(t.shape, kmax, rank.dtype)  # rank of each listener's strongest transmitter
+        for s in np.flatnonzero(t.any(axis=1)):
             np.minimum.reduce(rank[t[s]], axis=0, out=best[s])
-        i = order.ravel().take(best + cols * n).astype(np.intp)
-        sig = gain.ravel().take(i * n + cols) * (1.0 + params.beta)
-        sure, maybe = (listening & (sig >= params.beta * (params.sigma2 + total * f))
+        # The candidate each listener tests; a transmitter, and a listener
+        # that hears no candidate, read the padding entry.
+        k = first + best
+        np.putmask(k, t | (best == kmax), i.size)
+        sk = sig[k]
+        sure, maybe = (sk >= params.beta * (params.sigma2 + total * f)
                        for f in (1.0 + band, 1.0 - band))
         for s in np.flatnonzero((sure != maybe).any(axis=1)):
-            j = np.flatnonzero(sure[s] != maybe[s])
-            exact = gain[t[s]].sum(axis=0)[j]  # the slot loop's total
-            sure[s, j] = sig[s, j] >= params.beta * (params.sigma2 + exact)
-        s, j = np.nonzero(sure)
-        np.add.at(c.reshape(-1), i[s, j] * n + j, 1)
+            r = np.flatnonzero(sure[s] != maybe[s])
+            exact = gain[t[s]].sum(axis=0)[r]  # the slot loop's total
+            sure[s, r] = sk[s, r] >= params.beta * (params.sigma2 + exact)
+        counts += np.bincount(k.ravel().compress(sure.ravel()), minlength=counts.size)
+    hit = np.flatnonzero(counts[:-1])
+    hit = hit[np.argsort(i[hit] * n + j[hit])]  # row-major order
+    c = counts[hit]
+    return LinkWeightTable(n, np.column_stack([i[hit], j[hit]]), c, b, c / b[i[hit]])
 
 
 def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWeightTable:
@@ -216,12 +227,11 @@ def simulate_hello(dep: Deployment, params: ChannelParams, seed: int) -> LinkWei
     the seed. With beta >= 1 only each listener's strongest transmitter
     is tested (capture, see the module docstring), else every pair."""
     gain, rng = _gain_matrix(dep, params), np.random.default_rng(seed)
-    n = dep.n
-    c, b = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)  # c: dense scratch
     # Coincident nodes give an infinite gain, and 0 * inf in a block total is NaN.
     if params.fading == "deterministic" and params.beta >= 1 and np.isfinite(gain.sum()):
-        _hello_blocks(gain, rng, params, c, b)
-        return LinkWeightTable.from_counts(c, b)
+        return _hello_blocks(gain, rng, params)
+    n = dep.n
+    c, b = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)  # c: dense scratch
     counts = c.reshape(-1)  # a view; decoded (tx, rx) pairs are unique per slot
     for tx, rx, sig, total in _slots(gain, rng, params):
         b[tx] += 1

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,54 @@ def _small_case(case_id):
 def _matches_reference(dep, params, seed):
     table, ref = simulate_hello(dep, params, seed), reference_hello(dep, params, seed)
     return all(np.array_equal(getattr(table, f), getattr(ref, f)) for f in ("pairs", "c", "b"))
+
+
+def test_hello_candidate_lists_past_uint8_and_empty_match_reference():
+    # 400 nodes in a 100 m square, well inside the decode range
+    # (p_t / (beta sigma2))^(1/eta) = 106 m of one another, and one node
+    # over 700 m from all of them: a listener's candidate list outgrows uint8
+    # ranks, and one listener has no candidate. A sparse alpha leaves few
+    # transmitters a slot, so far ones are decoded too.
+    pos = np.vstack([np.random.default_rng(9).random((400, 2)) * 100, [[600.0, 600.0]]])
+    dep, params = Deployment(pos, "uniform-iid", Region(1000, 1000), 9), replace(PARAMS, alpha=0.01)
+    gain = reference_gain_matrix(dep, params)
+    k_j = (gain >= params.beta * params.sigma2).sum(axis=0)
+    assert k_j.max() > 255 and k_j.min() == 0
+    ref = reference_hello(dep, params, 9)
+    i, j = ref.pairs.T
+    assert ((gain[:, j] > gain[i, j]).sum(axis=0) > 255).any()  # a decode past rank 255
+    assert _matches_reference(dep, params, 9)
+
+
+def test_hello_pair_at_the_decode_limit_matches_reference():
+    # Two nodes d = (p_t / (beta sigma2))^(1/eta) apart, and a few float
+    # steps nearer and farther: the gain lies within rounding of beta
+    # sigma2, on both sides of it. The slot loop decodes one pair whose
+    # gain is below beta sigma2, so the candidate threshold needs its margin.
+    floor = PARAMS.beta * PARAMS.sigma2
+    d = (PARAMS.p_t / floor) ** (1 / PARAMS.eta)
+    seen = set()
+    for step in range(-3, 4):
+        dep = line_deployment([10.0, 10.0 + d + step * math.ulp(10.0 + d)])
+        gain = reference_gain_matrix(dep, PARAMS)[0, 1]
+        assert abs(gain / floor - 1) < 1e-12
+        seen.add((bool(gain >= floor), reference_hello(dep, PARAMS, 0).c.size > 0))
+        assert _matches_reference(dep, PARAMS, 0)
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_hello_block_memory_stays_below_twice_the_gain_matrix():
+    # The gain matrix is 8 MB at n=1000; no n x n int64 table joins it.
+    dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), 90)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_hello(dep, replace(PARAMS, slots=300), 90)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1000 * 1000 * 8
 
 
 @pytest.mark.parametrize("case_id", ["grid-ties", "beta1.0-deterministic",
