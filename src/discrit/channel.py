@@ -8,8 +8,8 @@ ratios C_ij / B_i estimate the per-link reception probabilities that the
 weight-based protocol consumes, one LinkWeightTable row per heard pair.
 
 Fading is either deterministic (coefficient 1, the reproducible default)
-or rayleigh-power: an exponential with the given mean applied to the
-received power. Fresh coefficients are drawn per slot and ordered pair.
+or rayleigh-power: a unit-mean exponential on the received power (mean m
+is mean 1 with p_t m). Fresh coefficients are drawn per slot and pair.
 
 Capture (Gupta & Kumar, IEEE Trans. IT 2000): with beta >= 1 and
 sigma2 > 0 a decodable signal S has S (1 + beta) >= beta (sigma2 +
@@ -67,11 +67,10 @@ class ChannelParams:
     beta: float = 4.0
     alpha: float = 0.10
     fading: str = "deterministic"
-    fading_mean: float = 1.0
     slots: int = 5000
 
     def __post_init__(self):
-        for name in ("p_t", "sigma2", "beta", "fading_mean"):  # written so that NaN fails
+        for name in ("p_t", "sigma2", "beta"):  # written so that NaN fails
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         if not (2 <= self.eta < math.inf):
@@ -147,9 +146,7 @@ def _slot_draws(rng, n: int, params: ChannelParams, buf: np.ndarray):
     tx, rx = np.flatnonzero(transmitting), np.flatnonzero(~transmitting)
     if params.fading != "rayleigh-power":
         return tx, rx, None
-    h = rng.standard_exponential(out=buf[:tx.size * rx.size].reshape(tx.size, rx.size))
-    h *= params.fading_mean  # the same bits as rng.exponential(fading_mean, h.shape)
-    return tx, rx, h
+    return tx, rx, rng.standard_exponential(out=buf[:tx.size * rx.size].reshape(tx.size, rx.size))
 
 
 def _slots(gain: np.ndarray, rng, params: ChannelParams):
@@ -161,7 +158,8 @@ def _slots(gain: np.ndarray, rng, params: ChannelParams):
     applied slot k's; only it touches rng, slot after slot, so the stream
     is unchanged and slot k+1 is drawn while the caller decodes slot k."""
     n = gain.shape[0]
-    bufs = [np.empty(n * n // 4) for _ in range(2)]  # tx.size * rx.size <= n^2 / 4
+    # tx.size * rx.size <= n^2 / 4; deterministic fading draws no coefficients
+    bufs = [np.empty(n * n // 4) if params.fading == "rayleigh-power" else None for _ in range(2)]
     with ThreadPoolExecutor(1) as pool:
         draws = [pool.submit(_slot_draws, rng, n, params, buf) for buf in bufs[:params.slots]]
         for k in range(params.slots):
@@ -268,7 +266,7 @@ def predict_p(d: float, cdf: EmpiricalCDF, params: ChannelParams) -> float:
 
     (1 - alpha) E_h F(scale h - sigma2), scale = (1 + beta) p_t / (beta d^eta), with
     h = 1 under deterministic fading; under rayleigh-power, the mean over F's samples s
-    of P(h >= (s + sigma2) / scale) = exp(-max(s + sigma2, 0) / (scale fading_mean)).
+    of P(h >= (s + sigma2) / scale) = exp(-max(s + sigma2, 0) / scale).
     Where d^eta leaves the float range, scale is its limit, 0 or inf.
     """
     if not (0 < d < math.inf):  # written so that NaN fails
@@ -282,9 +280,8 @@ def predict_p(d: float, cdf: EmpiricalCDF, params: ChannelParams) -> float:
     if params.fading == "deterministic":
         return (1.0 - params.alpha) * float(cdf(scale - params.sigma2))
     excess = np.maximum(cdf.samples + params.sigma2, 0.0)
-    denom = scale * params.fading_mean
     # P(h >= excess / 0) is 1 for a zero excess, 0 otherwise
-    tail = np.exp(-excess / denom) if denom else excess == 0
+    tail = np.exp(-excess / scale) if scale else excess == 0
     return (1.0 - params.alpha) * float(tail.mean())
 
 

@@ -178,13 +178,7 @@ def compare_graphs(file_a, file_b) -> tuple:
     Arguments are <prefix>.edges.csv paths (or bare prefixes); a
     direction whose reference edge set is empty is reported as None.
     """
-    def _load(p):
-        p = str(p)
-        if p.endswith(".edges.csv"):
-            p = p[: -len(".edges.csv")]
-        return load_graph(p)
-
-    ga, gb = _load(file_a), _load(file_b)
+    ga, gb = (load_graph(str(p).removesuffix(".edges.csv")) for p in (file_a, file_b))
     if ga.n != gb.n:
         raise ValueError(f"node counts differ: {ga.n} vs {gb.n}")
     d_ab = disparity(ga, gb) if ga.num_edges else None

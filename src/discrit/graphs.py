@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Deployment, distance_matrix, pair_distances, remap_pairs, save_csv, subset_ids
+from .geometry import Deployment, check_count, distance_matrix, pair_distances, remap_pairs, save_csv, subset_ids
 
 
 UNBOUNDED = math.inf  # graph_diameter of a disconnected graph
@@ -32,7 +32,7 @@ Adjacency = namedtuple("Adjacency", "indptr indices")
 class EdgeGraph:
     """Undirected graph over node ids 0..n-1.
 
-    ``radius`` is set iff the graph was constructed as a geometric graph.
+    ``radius`` (a float >= 0) is set iff the graph is a geometric graph.
     ``edges`` is a read-only (E, 2) intp array of distinct (i, j) pairs
     with i < j, in ascending row-major order; the constructor accepts any
     (E, 2) array or iterable of pairs, orders each pair, sorts the keys
@@ -44,6 +44,14 @@ class EdgeGraph:
     radius: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_count("n", self.n, 0))  # a graph header is outside input
+        if self.n > math.isqrt(np.iinfo(np.intp).max):  # the keys i*n+j must not wrap
+            raise ValueError(f"n = {self.n} is too large for i*n+j keys")
+        r = self.radius  # a bool or a string is no radius; written so that NaN fails
+        if r is not None and (isinstance(r, bool) or not isinstance(r, (int, float, np.integer, np.floating))
+                              or not 0 <= r < math.inf):
+            raise ValueError(f"radius must be None or a finite number >= 0, got {r!r}")
+        object.__setattr__(self, "radius", None if r is None else float(r))
         e = np.asarray(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges))
         if e.size and not np.issubdtype(e.dtype, np.integer):  # a float or bool id is not an id
             raise ValueError(f"edges must be integer node ids, got dtype {e.dtype}")

@@ -1,11 +1,11 @@
 """Transport-capacity self-organisation over h-hop topologies.
 
 The theoretical transport capacity of a network whose hops all span
-distance d is psi(d) = a * d * log(1 + alpha0 * p_t / (d^eta * sigma2))
-(natural log), with a absorbing the contention success rate and the
-bandwidth. The heuristic builds the h-hop topology T_h of a base graph
-for each h, measures the simulated capacity of a saturated single-cell
-Aloha MAC on it, and picks the h that maximises it.
+distance d is psi(d) = a * d * log(1 + p_t / (d^eta * sigma2)) (natural
+log; p_t is the paper's alpha0 * p_t), with a absorbing the contention
+success rate and the bandwidth. The heuristic builds the h-hop topology
+T_h of a base graph for each h, measures the simulated capacity of a
+saturated single-cell Aloha MAC on it, and picks the h that maximises it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .graphs import EdgeGraph, hop_matrix, is_connected
 class SelfOrgParams:
     """Capacity-model parameters.
 
-    q is the per-slot channel attempt probability of each saturated node
-    and w the bandwidth (Hz); the contention constant of the theoretical
-    curve is calibrated from them (aloha_contention_constant).
+    q is the per-slot channel attempt probability of each saturated node;
+    the contention constant of the theoretical curve is calibrated from
+    it and BANDWIDTH_HZ (aloha_contention_constant).
     find_h_opt scores the h-hop topologies for h = 1..h_max.
 
     The defaults are pinned for n=1000 in a 1000 m x 1000 m region: the
@@ -35,17 +35,15 @@ class SelfOrgParams:
     argmax over h is interior.
     """
 
-    alpha0: float = 1.0
     p_t: float = 0.1
     sigma2: float = 2.33e-6
     eta: float = 2.0
-    w: float = 1e6
     q: float = 0.001
     slots: int = 20000
     h_max: int = 8
 
     def __post_init__(self):
-        for name in ("alpha0", "p_t", "sigma2", "eta", "w"):
+        for name in ("p_t", "sigma2", "eta"):
             if not (0 < getattr(self, name) < math.inf):  # written so that NaN fails
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         # q = 1 is allowed: every slot collides and the capacity is zero
@@ -61,16 +59,17 @@ class SelfOrgParams:
 MAC_CHUNK_DRAWS = 2_000_000
 # Attempts drawn at a time within a chunk: bounds scratch memory, keeps the stream.
 MAC_PIECE_DRAWS = 1 << 17
+BANDWIDTH_HZ = 1e6  # W; it scales psi_sim and psi_theory alike, so h_opt does not depend on it
 
 
-def aloha_contention_constant(n_active: int, q: float, w: float) -> float:
+def aloha_contention_constant(n_active: int, q: float) -> float:
     """Success rate of n_active q-Aloha contenders times bandwidth."""
-    return n_active * q * (1.0 - q) ** (n_active - 1) * w
+    return n_active * q * (1.0 - q) ** (n_active - 1) * BANDWIDTH_HZ
 
 
 def link_rate(d, p: SelfOrgParams):
-    """Shannon rate factor log(1 + alpha0 p_t / (d^eta sigma2)), natural log."""
-    return np.log1p(p.alpha0 * p.p_t / (np.asarray(d, dtype=np.float64) ** p.eta * p.sigma2))
+    """Shannon rate factor log(1 + p_t / (d^eta sigma2)), natural log."""
+    return np.log1p(p.p_t / (np.asarray(d, dtype=np.float64) ** p.eta * p.sigma2))
 
 
 def theoretical_psi(d: float, p: SelfOrgParams, a: float) -> float:
@@ -81,7 +80,7 @@ def theoretical_psi(d: float, p: SelfOrgParams, a: float) -> float:
 
 
 def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
-    """Argmax of the capacity curve d log(1 + x), x = alpha0 p_t / (d^eta sigma2), on [d_lo, d_hi].
+    """Argmax of the capacity curve d log(1 + x), x = p_t / (d^eta sigma2), on [d_lo, d_hi].
 
     Its slope log1p(x) - eta x / (1 + x) is positive for eta <= 1, and for eta > 1 it
     changes sign once, where log(1 + x) = eta - eta / (1 + x): x* = expm1(eta + W0(-eta e^-eta)).
@@ -92,7 +91,7 @@ def optimal_hop_length(p: SelfOrgParams, d_lo: float, d_hi: float) -> float:
         return float(d_hi)
     from scipy.special import lambertw  # here: no pipeline stage pays its import
     x = math.expm1(p.eta + lambertw(-p.eta * math.exp(-p.eta)).real)
-    return float(min(max((p.alpha0 * p.p_t / p.sigma2 / x) ** (1 / p.eta), d_lo), d_hi))
+    return float(min(max((p.p_t / p.sigma2 / x) ** (1 / p.eta), d_lo), d_hi))
 
 
 def _h_hop_topologies(hops: np.ndarray, h_max: int) -> list:
@@ -145,11 +144,11 @@ def _aloha_links(topology: EdgeGraph, p: SelfOrgParams, seed) -> list:
 
 def _credit(dep: Deployment, links: list, p: SelfOrgParams) -> float:
     """Bit-meters per slot carried by the links of _aloha_links, summed chunk
-    by chunk; a link of length d carries d * w * log(1 + alpha0 p_t / (d^eta sigma2))."""
+    by chunk; a link of length d carries d * W * log(1 + p_t / (d^eta sigma2))."""
     total = 0.0
     for winners, nbr in links:
         d = pair_distances(dep, winners, nbr)
-        total += float((d * p.w * link_rate(d, p)).sum())
+        total += float((d * BANDWIDTH_HZ * link_rate(d, p)).sum())
     return total / p.slots
 
 
@@ -194,7 +193,7 @@ def find_h_opt(dep: Deployment, g_base: EdgeGraph, p: SelfOrgParams,
                 continue
             n_active = int(np.count_nonzero(topology.degrees()))
             mean_len = float(pair_distances(dep, topology.edges[:, 0], topology.edges[:, 1]).mean())
-            a = aloha_contention_constant(n_active, p.q, p.w)
+            a = aloha_contention_constant(n_active, p.q)
             rows.append(PsiRow(h, topology.num_edges, n_active, mean_len,
                                _credit(dep, links, p), theoretical_psi(mean_len, p, a)))
     psi = [r.psi_sim for r in rows]

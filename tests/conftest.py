@@ -25,7 +25,7 @@ from discrit.protocol import (
     InvariantViolation, ProtocolTrace, _check_round_invariants, run_discrit,
     run_range_algorithm,
 )
-from discrit.selforg import link_rate
+from discrit.selforg import BANDWIDTH_HZ, link_rate
 
 
 def edge_set(g):
@@ -131,7 +131,7 @@ def reference_hello(dep, params, seed):
         rx = np.flatnonzero(~transmitting)
         sig = gain[np.ix_(tx, rx)]
         if params.fading == "rayleigh-power":
-            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
+            sig = sig * rng.exponential(1.0, size=sig.shape)
         total = sig.sum(axis=0)
         ok = sig * one_plus_beta >= params.beta * (params.sigma2 + total[None, :])
         i, j = np.nonzero(ok)  # a slot's (tx, rx) pairs are distinct
@@ -155,7 +155,7 @@ def reference_power_histogram(dep, params, seed, annuli):
         rx = np.flatnonzero(~transmitting)
         sig = gain[np.ix_(tx, rx)]
         if params.fading == "rayleigh-power":
-            sig = sig * rng.exponential(params.fading_mean, size=sig.shape)
+            sig = sig * rng.exponential(1.0, size=sig.shape)
         total = sig.sum(axis=0)
         rx_ring = ring[rx]
         for a in range(annuli):
@@ -460,7 +460,7 @@ def reference_simulate_psi(dist, adj, p, seed):
             u = rng.random(winners.size)
             nbr = flat[start[winners] + (u * deg[winners]).astype(np.int64)]
             d = dist[active[winners], nbr]
-            total += float((d * p.w * link_rate(d, p)).sum())
+            total += float((d * BANDWIDTH_HZ * link_rate(d, p)).sum())
         done += m
     return total / p.slots
 

@@ -30,8 +30,7 @@ from test_graphs import brute_force_critical_radius
 KM = Region(1000.0, 1000.0)
 HELLO = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10,
                       fading="deterministic", slots=5000)
-SELFORG = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6,
-                        q=0.001, slots=20000)
+SELFORG = SelfOrgParams(p_t=0.1, sigma2=2.33e-6, eta=2.0, q=0.001, slots=20000)
 
 
 def report(k, name, ok, detail=""):

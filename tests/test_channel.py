@@ -26,7 +26,7 @@ from discrit.graphs import build_gg
 from discrit.selforg import SelfOrgParams, theoretical_psi
 
 PARAMS = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.10, slots=2000)
-RAYLEIGH = {"fading": "rayleigh-power", "fading_mean": 1.0}
+RAYLEIGH = {"fading": "rayleigh-power"}
 
 
 # The Hello kernel against the slot loop it replaced. The criterion 7
@@ -34,9 +34,10 @@ RAYLEIGH = {"fading": "rayleigh-power", "fading_mean": 1.0}
 # spacing gives exact gain ties at a listener; beta below and above 1
 # under both fading kinds (beta < 1 lets one listener decode several
 # transmitters); every node transmitting; and a sparse alpha that leaves
-# most slots without a transmitter. The rayleigh cases with mean 2.5, one
-# slot, an odd slot count and idle slots check the slot loop's helper
-# thread and its two reused coefficient buffers.
+# most slots without a transmitter. The rayleigh cases with one slot, an
+# odd slot count and idle slots check the slot loop's helper thread and
+# its two reused coefficient buffers. The mean2.5 cases are Rayleigh
+# fading of mean 2.5, written as mean 1 with 2.5 times the power p_t.
 SMALL = replace(PARAMS, slots=300)
 ACCEPTANCE_CASES = [
     pytest.param("uniform-iid", 1000, 1000.0, replace(PARAMS, slots=5000), seed,
@@ -56,8 +57,8 @@ SMALL_CASES = [
     pytest.param("uniform-iid", 30, 300.0, replace(SMALL, alpha=0.02, slots=2000), 5,
                  id="idle-slots"),
 ] + [
-    pytest.param("uniform-iid", 300, 500.0, replace(SMALL, beta=beta, fading="rayleigh-power",
-                                                    fading_mean=2.5), 6, id=f"beta{beta}-mean2.5")
+    pytest.param("uniform-iid", 300, 500.0, replace(SMALL, beta=beta, p_t=2.5 * SMALL.p_t, **RAYLEIGH), 6,
+                 id=f"beta{beta}-mean2.5")
     for beta in (0.5, 4.0)
 ] + [
     pytest.param("uniform-iid", 300, 500.0, replace(SMALL, slots=slots, **RAYLEIGH), 7,
@@ -133,6 +134,20 @@ def test_hello_block_memory_stays_below_twice_the_gain_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1000 * 1000 * 8
+
+
+def test_slot_loop_allocates_no_coefficient_buffers_without_fading():
+    # The gain matrix is 8 MB at n=1000. The slot loop's two n^2/4 buffers
+    # (4 MB) hold rayleigh-power coefficients; deterministic fading draws
+    # none and needs no buffer. Peak about 10.4 MB, 14.4 MB with them.
+    dep = generate_deployment("uniform-iid", 1000, Region(1000, 1000), 90)
+    tracemalloc.start()
+    try:
+        received_power_histogram(dep, replace(PARAMS, slots=5), 90, annuli=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1000 * 1000 * 8
 
 
 @pytest.mark.parametrize("case_id", ["grid-ties", "beta1.0-deterministic",
@@ -346,7 +361,7 @@ def test_rayleigh_fading_runs_and_differs():
     dep = generate_deployment("uniform-iid", 20, Region(300, 300), 2)
     det = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.2, slots=500)
     ray = ChannelParams(p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.2,
-                        fading="rayleigh-power", fading_mean=1.0, slots=500)
+                        fading="rayleigh-power", slots=500)
     a = simulate_hello(dep, det, 3)
     b = simulate_hello(dep, ray, 3)
     assert not np.array_equal(dense(a, "c"), dense(b, "c"))
@@ -378,12 +393,13 @@ def test_predict_p_monotone_in_distance(fading):
 
 
 def test_predict_p_rayleigh_quadrature_vs_monte_carlo():
-    params = ChannelParams(p_t=2.0, eta=2.5, sigma2=0.3, beta=1.0, alpha=0.2,
-                           fading="rayleigh-power", fading_mean=1.3, slots=1)
+    # p_t = 2.6 is Rayleigh fading of mean 1.3 at p_t = 2.
+    params = ChannelParams(p_t=2.6, eta=2.5, sigma2=0.3, beta=1.0, alpha=0.2,
+                           fading="rayleigh-power", slots=1)
     cdf = EmpiricalCDF(np.random.default_rng(1).exponential(2.0, size=2000))
     d = 1.7
     rng = np.random.default_rng(2)
-    h = rng.exponential(params.fading_mean, size=200000)
+    h = rng.exponential(1.0, size=200000)
     scale = (1 + params.beta) * params.p_t / (params.beta * d ** params.eta)
     mc = (1 - params.alpha) * np.mean(cdf(scale * h - params.sigma2))
     assert abs(predict_p(d, cdf, params) - mc) < 5e-3
@@ -391,11 +407,11 @@ def test_predict_p_rayleigh_quadrature_vs_monte_carlo():
 
 def test_predict_p_rayleigh_is_the_exact_ecdf_expectation():
     # Sample s is counted iff h >= (s + sigma2) / scale, which has probability
-    # exp(-(s + sigma2) / (scale mean)), and 1 where s + sigma2 <= 0 (s = -0.5).
-    params = ChannelParams(p_t=2.0, eta=2.5, sigma2=0.3, beta=1.0, alpha=0.2,
-                           fading="rayleigh-power", fading_mean=1.3, slots=1)
+    # exp(-(s + sigma2) / scale), and 1 where s + sigma2 <= 0 (s = -0.5).
+    params = ChannelParams(p_t=2.6, eta=2.5, sigma2=0.3, beta=1.0, alpha=0.2,
+                           fading="rayleigh-power", slots=1)
     d = 1.7
-    m = (1 + params.beta) * params.p_t / (params.beta * d ** params.eta) * params.fading_mean
+    m = (1 + params.beta) * params.p_t / (params.beta * d ** params.eta)
     expected = (1 - params.alpha) * (1.0 + math.exp(-(0.2 + 0.3) / m) + math.exp(-(1.1 + 0.3) / m)) / 3
     got = predict_p(d, EmpiricalCDF([1.1, -0.5, 0.2]), params)
     assert got == pytest.approx(expected, rel=1e-15, abs=0)

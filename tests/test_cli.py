@@ -14,7 +14,7 @@ from discrit import cli
 from discrit.cli import compare_graphs, main, run_pipeline
 from discrit.config import CONFIG_KEYS, ConfigError, config_hash, validate_config
 from discrit.geometry import Region
-from discrit.graphs import EdgeGraph, save_graph
+from discrit.graphs import EdgeGraph, load_graph, save_graph
 from discrit.selforg import SelfOrgParams
 
 
@@ -205,11 +205,12 @@ def test_selforg_q_bound_matches_params(tmp_path):
     {"seeds": [0, 0]},
     {"channel": {"p_t": math.inf}},
     {"channel": {"eta": math.inf}},
-    {"selforg": {"w": math.inf}},
+    {"selforg": {"sigma2": math.inf}},
     {"selforg": {"p_t": math.inf}},
 ], ids=["seed-float", "n-float", "slots-float", "h_max-float", "alpha-zero", "width-inf",
         "a-negative", "slots-bool", "grid-n5", "p_t-nan", "eta-nan", "a-nan", "margin-nan",
-        "suppress-unknown-key", "seeds-dup", "p_t-inf", "eta-inf", "w-inf", "selforg-p_t-inf"])
+        "suppress-unknown-key", "seeds-dup", "p_t-inf", "eta-inf", "selforg-sigma2-inf",
+        "selforg-p_t-inf"])
 def test_config_rejected_before_any_stage(tmp_path, extra):
     # All but slots-bool once passed validation and then failed in a stage,
     # ran on a nonsense value, or (seeds-dup) ran a seed twice, after a seed
@@ -223,10 +224,14 @@ def test_config_rejected_before_any_stage(tmp_path, extra):
     assert not list(tmp_path.glob("out/seed-*"))
 
 
-@pytest.mark.parametrize("extra", [{"selforg": {"a": 1.0}}, {"discretize": {"pair_sample": 100}}],
-                         ids=["selforg-a", "discretize-pair_sample"])
+@pytest.mark.parametrize("extra", [
+    {"selforg": {"a": 1.0}}, {"discretize": {"pair_sample": 100}}, {"channel": {"fading_mean": 1.0}},
+    {"selforg": {"alpha0": 1.0}}, {"selforg": {"w": 1e6}},
+], ids=["selforg-a", "discretize-pair_sample", "channel-fading_mean", "selforg-alpha0", "selforg-w"])
 def test_removed_options_are_unknown_keys(tmp_path, extra):
-    # psi's contention constant is always calibrated, and rho always takes every pair.
+    # psi's contention constant is always calibrated, and rho always takes
+    # every pair. A Rayleigh mean and alpha0 only scale p_t, and the
+    # bandwidth scales psi_sim and psi_theory alike.
     with pytest.raises(ConfigError, match="unknown key"):
         run_pipeline(minimal_config(tmp_path, **extra))
     assert not (tmp_path / "out").exists()
@@ -245,15 +250,20 @@ def test_config_blocks_are_param_fields(tmp_path):
     assert set(CONFIG_KEYS["deployment"]["region"]) == {f.name for f in dataclasses.fields(Region)}
 
 
+def test_config_has_24_settable_values():
+    # The leaves of CONFIG_KEYS; an option added or removed changes this count on purpose.
+    leaves = lambda keys: sum(leaves(v) if isinstance(v, dict) else 1 for v in keys.values())
+    assert leaves(CONFIG_KEYS) == 24
+
+
 def test_param_defaults_match_readme():
     # The values README.md lists under "Defaults"; the field defaults are
     # the only copy of them in the code.
     assert ChannelParams() == ChannelParams(
         p_t=0.05, eta=4.0, sigma2=1e-10, beta=4.0, alpha=0.1,
-        fading="deterministic", fading_mean=1.0, slots=5000)
+        fading="deterministic", slots=5000)
     assert SelfOrgParams() == SelfOrgParams(
-        alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
-        slots=20000, h_max=8)
+        p_t=0.1, sigma2=2.33e-6, eta=2.0, q=0.001, slots=20000, h_max=8)
     with pytest.raises(ValueError, match="h_max must be"):
         SelfOrgParams(h_max=0)
 
@@ -333,6 +343,22 @@ def test_compare_graphs(tmp_path, capsys):
     save_graph(mismatched, tmp_path / "m")
     with pytest.raises(ValueError):
         compare_graphs(tmp_path / "a.edges.csv", tmp_path / "m.edges.csv")
+
+
+@pytest.mark.parametrize("header", [
+    '{"n": 2.5, "radius": "far"}', '{"n": 4, "radius": NaN}', '{"n": 4, "radius": -4}',
+    '{"n": true, "radius": null}', '{"n": -1, "radius": null}',
+], ids=["n-float-radius-str", "radius-nan", "radius-negative", "n-bool", "n-negative"])
+def test_compare_rejects_bad_graph_headers(tmp_path, capsys, header):
+    # A .graph.json header is outside input. Two such files used to compare
+    # with exit status 0 and a disparity.
+    for name, rows in (("a", "0,1\n"), ("b", "")):
+        (tmp_path / f"{name}.graph.json").write_text(header + "\n")
+        (tmp_path / f"{name}.edges.csv").write_text("i,j\n" + rows)
+    with pytest.raises(ValueError, match="n must be|radius must be"):
+        load_graph(tmp_path / "a")
+    assert main(["compare", str(tmp_path / "a.edges.csv"), str(tmp_path / "b.edges.csv")]) == 1
+    assert "discrit: error:" in capsys.readouterr().err
 
 
 def test_compare_pinned_seed_goldens(tmp_path):

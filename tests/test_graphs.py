@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import deque
 
 import numpy as np
@@ -393,6 +394,26 @@ def test_edge_graph_takes_integer_ids_only():
     for empty in ([], frozenset(), np.zeros((0, 2))):
         assert EdgeGraph(4, empty).edges.shape == (0, 2)
     assert EdgeGraph(4, np.array([[2, 0]], dtype=np.uint16)).edges.tolist() == [[0, 2]]
+
+
+@pytest.mark.parametrize("n, radius", [
+    (2.5, None), (True, None), (-1, None), ("3", None), (np.float64(3.0), None), (2**62, None),
+    (3, "far"), (3, np.nan), (3, -4), (3, np.inf), (3, True), (3, [1.0]),
+])
+def test_edge_graph_rejects_bad_n_and_radius(n, radius):
+    # n = 2.5, n = True and radius "far", NaN or -4 used to construct; with
+    # n = 2**62 the edge (2, 3) was stored as (-2, 3), as 2 * n wrapped.
+    with pytest.raises(ValueError, match="n must be an integer >= 0|too large|radius must be None or a finite"):
+        EdgeGraph(n, [], radius=radius)
+
+
+def test_edge_graph_stores_n_as_int_and_radius_as_float():
+    g = EdgeGraph(np.int32(3), [(0, 1)], radius=np.float32(2.5))
+    assert type(g.n) is int and g.n == 3 and type(g.radius) is float and g.radius == 2.5
+    assert EdgeGraph(0, []).n == 0 and EdgeGraph(2, [], radius=0).radius == 0.0
+    n = math.isqrt(2**63 - 1)  # the largest n whose keys i*n+j fit in int64
+    assert EdgeGraph(n, [(n - 2, n - 1)]).edges.tolist() == [[n - 2, n - 1]]
+    assert EdgeGraph(2, []).radius is None
 
 
 def _random_pairs(n, e, seed):

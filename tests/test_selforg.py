@@ -14,12 +14,11 @@ from discrit import selforg
 from discrit.geometry import Region, distance_matrix, generate_deployment
 from discrit.graphs import EdgeGraph, critical_radius, degree1_radius, graph_diameter, hop_matrix
 from discrit.selforg import (
-    MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _aloha_links, _credit, _h_hop_topologies,
+    BANDWIDTH_HZ, MAC_CHUNK_DRAWS, MAC_PIECE_DRAWS, SelfOrgParams, _aloha_links, _credit, _h_hop_topologies,
     aloha_contention_constant, find_h_opt, optimal_hop_length, theoretical_psi,
 )
 
-P = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6, q=0.001,
-                  slots=4000)
+P = SelfOrgParams(p_t=0.1, sigma2=2.33e-6, eta=2.0, q=0.001, slots=4000)
 
 
 def path_graph(n):
@@ -28,9 +27,9 @@ def path_graph(n):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SelfOrgParams(alpha0=0, p_t=1, sigma2=1, eta=2, w=1, q=0.5)
+        SelfOrgParams(p_t=0, sigma2=1, eta=2, q=0.5)
     with pytest.raises(ValueError):
-        SelfOrgParams(alpha0=1, p_t=1, sigma2=1, eta=2, w=1, q=0.0)
+        SelfOrgParams(p_t=1, sigma2=1, eta=2, q=0.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -52,14 +51,14 @@ def test_psi_vanishes_at_extremes():
     assert theoretical_psi(1e12, P, 1.0) < 1e-6
     with pytest.raises(ValueError):
         theoretical_psi(0.0, P, 1.0)
-    other = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=1e-6, eta=2.0, w=1e6, q=0.5)
+    other = SelfOrgParams(p_t=0.1, sigma2=1e-6, eta=2.0, q=0.5)
     assert theoretical_psi(10.0, other, 2.0) > 0
 
 
 def test_optimal_hop_length_matches_brute_force():
     d_opt = optimal_hop_length(P, 1.0, 2000.0)
     grid = np.linspace(1.0, 2000.0, 400001)
-    vals = grid * np.log1p(P.alpha0 * P.p_t / (grid ** P.eta * P.sigma2))
+    vals = grid * np.log1p(P.p_t / (grid ** P.eta * P.sigma2))
     brute = grid[np.argmax(vals)]
     assert abs(d_opt - brute) <= 1e-3 * brute
 
@@ -69,7 +68,7 @@ def test_optimal_hop_length_is_the_slope_root(eta):
     # d log(1 + x), x = K / d^eta, has slope log1p(x) - eta x / (1 + x)
     p = replace(P, eta=eta)
     d = optimal_hop_length(p, 1e-3, 1e12)
-    x = p.alpha0 * p.p_t / (d ** eta * p.sigma2)
+    x = p.p_t / (d ** eta * p.sigma2)
     assert abs(math.log1p(x) - eta * x / (1 + x)) <= 1e-12 * math.log1p(x)
 
 
@@ -222,10 +221,9 @@ def test_two_node_aloha_closed_form():
     dep = line_deployment([100.0, 200.0], side=1000.0)
     g = path_graph(2)
     q, slots = 0.3, 100000
-    params = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6,
-                           q=q, slots=slots, h_max=1)
+    params = SelfOrgParams(p_t=0.1, sigma2=2.33e-6, eta=2.0, q=q, slots=slots, h_max=1)
     d = 100.0
-    credit = d * params.w * math.log1p(params.alpha0 * params.p_t / (d ** params.eta * params.sigma2))
+    credit = d * BANDWIDTH_HZ * math.log1p(params.p_t / (d ** params.eta * params.sigma2))
     p_success = 2 * q * (1 - q)
     expect = p_success * credit
     se = credit * math.sqrt(p_success * (1 - p_success) / slots)
@@ -235,8 +233,7 @@ def test_two_node_aloha_closed_form():
 
 def test_full_collisions_zero_capacity():
     dep = line_deployment([100.0, 200.0], side=1000.0)
-    params = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=2.33e-6, eta=2.0, w=1e6,
-                           q=1.0, slots=200, h_max=1)
+    params = SelfOrgParams(p_t=0.1, sigma2=2.33e-6, eta=2.0, q=1.0, slots=200, h_max=1)
     assert find_h_opt(dep, path_graph(2), params, seed=0)[1][0].psi_sim == 0.0
 
 
@@ -249,8 +246,7 @@ def test_find_h_opt_hmax_one():
 
 def test_find_h_opt_noisy_channel_prefers_single_hop():
     # enormous noise floor pushes the capacity optimum to tiny hop lengths
-    noisy = SelfOrgParams(alpha0=1.0, p_t=0.1, sigma2=1e6, eta=2.0, w=1e6,
-                          q=0.01, slots=4000)
+    noisy = SelfOrgParams(p_t=0.1, sigma2=1e6, eta=2.0, q=0.01, slots=4000)
     dep = generate_deployment("uniform-iid", 80, Region(1000, 1000), 4)
     _, cgg = critical_radius(dep)
     h_opt, rows = find_h_opt(dep, cgg, replace(noisy, h_max=4), seed=1)
@@ -268,5 +264,5 @@ def test_find_h_opt_deterministic():
 
 
 def test_contention_constant():
-    assert aloha_contention_constant(2, 0.5, 1.0) == pytest.approx(0.5)
-    assert aloha_contention_constant(1, 0.3, 2.0) == pytest.approx(0.6)
+    assert aloha_contention_constant(2, 0.5) == pytest.approx(0.5 * BANDWIDTH_HZ)
+    assert aloha_contention_constant(1, 0.3) == pytest.approx(0.3 * BANDWIDTH_HZ)
